@@ -19,6 +19,7 @@ use optima_circuit::adc::Adc;
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::dac::{Dac, DacTransfer};
 use optima_core::model::suite::ModelSuite;
+use optima_math::distributions::{standard_normal, Gaussian};
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -408,7 +409,9 @@ impl InSramMultiplier {
                 outcomes.push(self.compose_outcome(
                     a,
                     d,
-                    |pass, a_slice, d_slice| self.grid_discharge(&grid, pass, a_slice, d_slice, at),
+                    |pass, a_slice, d_slice| {
+                        self.pass_discharge(pass, d_slice, at.vdd.0, |bit| grid.delta(a_slice, bit))
+                    },
                     |pass, a_slice, bit| self.grid_energy(&grid, pass, a_slice, bit, at),
                     grid.write_energy,
                 ));
@@ -417,37 +420,51 @@ impl InSramMultiplier {
         Ok(outcomes)
     }
 
-    /// Combined discharge of one pass from the precomputed grid, applying
-    /// the fault state when one is attached.  The `None` arm is the historic
-    /// pristine path; the faulted arm mirrors the scalar
-    /// [`InSramMultiplier::slice_discharge`] transform per `(pass, bit)`, so
-    /// the batched and scalar faulted paths stay bit-identical.
-    fn grid_discharge(
+    /// Charge-shared combined discharge of one analog pass from per-column
+    /// discharges, applying the fault state when one is attached.
+    ///
+    /// `column_delta(bit)` supplies the ΔV of every column that actually
+    /// discharges, in bit-ascending order, and is called for no other column:
+    /// the batched grid paths pass the precomputed nominal ΔV, the mismatch
+    /// Monte Carlo a freshly sampled one (so it consumes draws in exactly the
+    /// scalar order).  The `None` arm sums exactly like
+    /// [`AnalogOperandGrid::combined_discharge`]; the faulted arm mirrors the
+    /// scalar [`InSramMultiplier::slice_discharge`] transform per `(pass, bit)`
+    /// — gating, full-rail shorts, retention drift applied after the ΔV.
+    #[inline]
+    fn pass_discharge(
         &self,
-        grid: &AnalogOperandGrid,
         pass: usize,
-        a_slice: u16,
         d_slice: u16,
-        at: OperatingPoint,
+        vdd: f64,
+        mut column_delta: impl FnMut(u8) -> f64,
     ) -> f64 {
+        let slice_bits = self.config.array.slice_bits;
+        let mut total = 0.0;
         match &self.faults {
-            None => grid.combined_discharge(a_slice, d_slice),
+            None => {
+                // Set bits, lowest first.
+                let mut set = d_slice;
+                while set != 0 {
+                    total += column_delta(set.trailing_zeros() as u8);
+                    set &= set - 1;
+                }
+            }
             Some(faults) => {
-                let mut total = 0.0;
-                for bit in 0..grid.slice_bits {
+                for bit in 0..slice_bits {
                     let stored = (d_slice >> bit) & 1 == 1;
                     if !faults.column_discharges(pass, bit, stored) {
                         continue;
                     }
                     if faults.is_shorted(pass, bit) {
-                        total += at.vdd.0;
+                        total += vdd;
                         continue;
                     }
-                    total += faults.scaled_delta(pass, bit, grid.delta(a_slice, bit));
+                    total += faults.scaled_delta(pass, bit, column_delta(bit));
                 }
-                total / grid.slice_bits as f64
             }
         }
+        total / slice_bits as f64
     }
 
     /// Per-column discharge energy from the precomputed grid, applying the
@@ -776,13 +793,43 @@ impl InSramMultiplier {
         acc
     }
 
-    /// Shared readout back half of the scalar and batched multiply paths:
-    /// per-pass ADC quantisation of the combined discharge, digital
-    /// shift-add composition across the passes, and the per-set-bit energy
-    /// combination.  Only how the per-pass discharge and per-column energy
-    /// are obtained differs between the callers (live model evaluation vs.
-    /// precomputed grid), so any change to the readout model lands in both
-    /// paths.
+    /// Digital readout of the pair `(a, d)`: per-pass ADC quantisation of
+    /// the combined discharge `pass_discharge(pass, a_slice, d_slice)` and
+    /// shift-add composition across the passes, saturated at the `u16`
+    /// result width.  The one readout model every multiply path shares —
+    /// scalar, batched grid and mismatch Monte Carlo.
+    #[inline]
+    fn readout(
+        &self,
+        a: u16,
+        d: u16,
+        mut pass_discharge: impl FnMut(usize, u16, u16) -> f64,
+    ) -> u16 {
+        let array = &self.config.array;
+        let slices = array.slices() as usize;
+        let slice_bits = array.slice_bits as usize;
+        let max_code = self.adc.max_code() as f64;
+        let result = self.fold_passes(a, d, 0u32, |result, pass, a_slice, d_slice| {
+            let discharge = pass_discharge(pass, a_slice, d_slice);
+            // Round-to-nearest quantisation in slice-product LSB units,
+            // clamped to the ADC code range of one pass.
+            let raw = (discharge / self.volts_per_lsb).round();
+            let code = raw.clamp(0.0, max_code) as u32;
+            // Which pass this slice pair is determines its digital weight.
+            let weight = ((pass / slices + pass % slices) * slice_bits) as u32;
+            result + (code << weight)
+        });
+        // Non-ideal slice results can overshoot the exact product range; the
+        // digital accumulator saturates at the u16 result width.
+        result.min(u16::MAX as u32) as u16
+    }
+
+    /// Shared back half of the scalar and batched multiply paths: the
+    /// [`InSramMultiplier::readout`] of the per-pass discharges plus the
+    /// per-set-bit energy combination.  Only how the per-pass discharge and
+    /// per-column energy are obtained differs between the callers (live
+    /// model evaluation vs. precomputed grid), so any change to the readout
+    /// model lands in both paths.
     fn compose_outcome(
         &self,
         a: u16,
@@ -791,62 +838,179 @@ impl InSramMultiplier {
         column_energy: impl Fn(usize, u16, u8) -> f64,
         write_energy: FemtoJoules,
     ) -> MultiplyOutcome {
-        let array = &self.config.array;
-        let slice_bits = array.slice_bits;
-        let passes = array.passes() as f64;
-        let max_code = self.adc.max_code() as f64;
-        struct Acc {
-            result: u32,
-            discharge_sum: f64,
-            multiply_energy: f64,
-        }
-        let acc = self.fold_passes(
-            a,
-            d,
-            Acc {
-                result: 0,
-                discharge_sum: 0.0,
-                multiply_energy: 0.0,
-            },
-            |mut acc, pass, a_slice, d_slice| {
-                let discharge = slice_discharge(pass, a_slice, d_slice);
-                acc.discharge_sum += discharge;
-                // Round-to-nearest quantisation in slice-product LSB units,
-                // clamped to the ADC code range of one pass.
-                let raw = (discharge / self.volts_per_lsb).round();
-                let code = raw.clamp(0.0, max_code) as u32;
-                // Which pass this slice pair is determines its digital weight.
-                let weight = {
-                    let slices = array.slices() as usize;
-                    ((pass / slices + pass % slices) * slice_bits as usize) as u32
-                };
-                acc.result += code << weight;
-                acc.multiply_energy += self.converter_overhead.0;
-                // Energy follows the columns that actually discharge: a
-                // fault state can gate a stored 1 off (stuck-at-0, open
-                // bit-line) or a stored 0 on (stuck-at-1, short).
-                let gates = match &self.faults {
-                    None => d_slice,
-                    Some(faults) => faults.gate_bits(pass, d_slice),
-                };
-                for bit in 0..slice_bits {
-                    if (gates >> bit) & 1 == 1 {
-                        acc.multiply_energy += column_energy(pass, a_slice, bit);
-                    }
+        let slice_bits = self.config.array.slice_bits;
+        let mut discharge_sum = 0.0;
+        let mut multiply_energy = 0.0;
+        let result = self.readout(a, d, |pass, a_slice, d_slice| {
+            let discharge = slice_discharge(pass, a_slice, d_slice);
+            discharge_sum += discharge;
+            multiply_energy += self.converter_overhead.0;
+            // Energy follows the columns that actually discharge: a fault
+            // state can gate a stored 1 off (stuck-at-0, open bit-line) or a
+            // stored 0 on (stuck-at-1, short).
+            let gates = match &self.faults {
+                None => d_slice,
+                Some(faults) => faults.gate_bits(pass, d_slice),
+            };
+            for bit in 0..slice_bits {
+                if (gates >> bit) & 1 == 1 {
+                    multiply_energy += column_energy(pass, a_slice, bit);
                 }
-                acc
-            },
-        );
+            }
+            discharge
+        });
         MultiplyOutcome {
-            // Non-ideal slice results can overshoot the exact product range;
-            // the digital accumulator saturates at the u16 result width.
-            result: acc.result.min(u16::MAX as u32) as u16,
+            result,
             expected: a * d,
-            combined_discharge: Volts(acc.discharge_sum / passes),
-            multiply_energy: FemtoJoules(acc.multiply_energy),
+            combined_discharge: Volts(discharge_sum / self.config.array.passes() as f64),
+            multiply_energy: FemtoJoules(multiply_energy),
             write_energy,
         }
     }
+
+    /// Precomputes the nominal ΔV and the mismatch distribution of every
+    /// `(slice operand, column)` at `at`, for
+    /// [`InSramMultiplier::mismatch_error_sample`].
+    ///
+    /// σ is evaluated at the aged, supply-adjusted word line the scalar
+    /// [`InSramMultiplier::multiply_with_mismatch`] samples at, so the Monte
+    /// Carlo on the grid draws from exactly the same distributions.
+    ///
+    /// # Errors
+    ///
+    /// * Same as [`InSramMultiplier::analog_grid`].
+    /// * [`ImcError::CornerFailed`] naming the first `(a_slice, bit)` in
+    ///   operand-major order whose ΔV or σ is not finite (the index is
+    ///   `a_slice · slice_bits + bit`), with an
+    ///   [`ImcError::InvalidConfiguration`] source — such a σ cannot
+    ///   parameterise a Gaussian.
+    pub fn mismatch_grid(&self, at: OperatingPoint) -> Result<MismatchGrid, ImcError> {
+        let analog = self.analog_grid(at)?;
+        let bits = analog.slice_bits as usize;
+        let mut deviations = Vec::with_capacity(analog.deltas.len());
+        for (index, &delta) in analog.deltas.iter().enumerate() {
+            let (a_slice, bit) = (index / bits, index % bits);
+            let sigma = self
+                .models
+                .mismatch_sigma(self.column_duration(bit as u8), analog.word_lines[a_slice])
+                .0;
+            for (quantity, value) in [("discharge", delta), ("mismatch sigma", sigma)] {
+                if !value.is_finite() {
+                    return Err(ImcError::CornerFailed {
+                        index,
+                        corner: format!("mismatch grid a_slice = {a_slice}, bit = {bit}"),
+                        source: Box::new(ImcError::InvalidConfiguration {
+                            context: format!("{quantity} is not finite ({value} V)"),
+                        }),
+                    });
+                }
+            }
+            deviations.push(Gaussian::new(0.0, sigma));
+        }
+        Ok(MismatchGrid {
+            analog,
+            deviations,
+            vdd: at.vdd.0,
+        })
+    }
+
+    /// One mismatch Monte-Carlo instance over the full input space: the
+    /// average absolute error in LSBs when every discharging, non-shorted
+    /// column of every pass of every pair draws its own Gaussian deviation
+    /// from `rng`.
+    ///
+    /// Bit-identical to averaging
+    /// [`InSramMultiplier::multiply_with_mismatch`]`(&mut rng, a, d, at)`
+    /// over the pairs in operand-major order with
+    /// [`optima_math::stats::mean`]: variates are consumed in the same order
+    /// (pairs `a`-major, passes in pass order, bits ascending; none for a
+    /// zero σ or a shorted column), each sampled ΔV is
+    /// `(ΔV + deviation).max(0)` before the fault state's drift, and the
+    /// readout is the shared [`InSramMultiplier::readout`].  No energy is
+    /// computed.
+    ///
+    /// The generator is taken by value because the variates are drawn ahead
+    /// in blocks: the stream is consumed past the last variate used.
+    pub fn mismatch_error_sample<R: Rng>(&self, grid: &MismatchGrid, rng: R) -> f64 {
+        let max = self.config.array.operand_max();
+        let bits = grid.analog.slice_bits as usize;
+        let mut normals = NormalBlocks::new(rng);
+        let mut total = 0.0;
+        // optima-lint: hot
+        for a in 0..=max {
+            for d in 0..=max {
+                let result = self.readout(a, d, |pass, a_slice, d_slice| {
+                    let row = a_slice as usize * bits;
+                    self.pass_discharge(pass, d_slice, grid.vdd, |bit| {
+                        let index = row + bit as usize;
+                        let gaussian = &grid.deviations[index];
+                        let deviation = if gaussian.std_dev() == 0.0 {
+                            0.0
+                        } else {
+                            gaussian.map_standard(normals.next())
+                        };
+                        (grid.analog.deltas[index] + deviation).max(0.0)
+                    })
+                });
+                total += (result as f64 - (a * d) as f64).abs();
+            }
+        }
+        // optima-lint: end-hot
+        total / self.config.array.input_space() as f64
+    }
+}
+
+/// Standard-normal variates of one RNG stream, drawn ahead in fixed-size
+/// blocks so the Box–Muller draws run back to back instead of interleaved
+/// with the readout.  The values come out in stream order, exactly as
+/// successive [`standard_normal`] calls would return them.
+struct NormalBlocks<R> {
+    rng: R,
+    block: [f64; NORMAL_BLOCK],
+    next: usize,
+}
+
+/// Variates per [`NormalBlocks`] block (1 KiB of stack).
+const NORMAL_BLOCK: usize = 128;
+
+impl<R: Rng> NormalBlocks<R> {
+    fn new(rng: R) -> Self {
+        NormalBlocks {
+            rng,
+            block: [0.0; NORMAL_BLOCK],
+            next: NORMAL_BLOCK,
+        }
+    }
+
+    #[inline]
+    fn next(&mut self) -> f64 {
+        if self.next == self.block.len() {
+            for z in &mut self.block {
+                *z = standard_normal(&mut self.rng);
+            }
+            self.next = 0;
+        }
+        let z = self.block[self.next];
+        self.next += 1;
+        z
+    }
+}
+
+/// Nominal discharges and mismatch distributions per `(slice operand,
+/// column)` of one multiplier at one operating point — everything one
+/// mismatch Monte-Carlo instance needs besides its random stream.
+///
+/// Built once per analysis by [`InSramMultiplier::mismatch_grid`] and shared
+/// read-only by every sample.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MismatchGrid {
+    /// Nominal per-column quantities at the grid's operating point.
+    analog: AnalogOperandGrid,
+    /// Zero-mean mismatch deviation per `(a, bit)`, row-major like the
+    /// grid's ΔV.
+    deviations: Vec<Gaussian>,
+    /// Supply voltage (a shorted bit-line discharges the full rail).
+    vdd: f64,
 }
 
 /// Per-(slice operand, column) analog quantities of one multiplier at one

@@ -14,9 +14,12 @@
 //! [`ImcError::CornerFailed`] naming it, and every reported number —
 //! including the Monte-Carlo statistics, which draw one split-seed RNG
 //! stream per sample — is bit-identical for any thread count.  Inside each
-//! swept condition the full 16×16 operand grid is evaluated through the
-//! batched analog path ([`InSramMultiplier::outcome_grid`]), which is
-//! bit-identical to the scalar per-pair loop it replaced.
+//! swept condition the full input space of the geometry (16×16 pairs at
+//! INT4, 256×256 at INT8) is evaluated through the batched analog path
+//! ([`InSramMultiplier::outcome_grid`]); the Monte-Carlo samples share one
+//! precomputed [`crate::multiplier::MismatchGrid`] and only draw their
+//! deviations.  Both are bit-identical to the scalar per-pair loops they
+//! replaced.
 
 use crate::error::ImcError;
 use crate::multiplier::{InSramMultiplier, OperatingPoint};
@@ -27,6 +30,7 @@ use optima_math::units::{Celsius, Volts};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
+use std::convert::Infallible;
 
 /// Configuration of the PVT analysis sweeps.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -134,7 +138,6 @@ impl PvtAnalysis {
         config: &PvtAnalysisConfig,
     ) -> Result<Self, ImcError> {
         let nominal = multiplier.nominal_operating_point();
-        let operand_max = multiplier.array().operand_max();
         let product_max = multiplier.array().product_max();
         let input_space = multiplier.array().input_space();
 
@@ -224,22 +227,23 @@ impl PvtAnalysis {
         };
 
         // ---- Mismatch Monte Carlo: one split-seed RNG stream per sample ----
+        // The nominal ΔV and σ of every (slice operand, column) are computed
+        // once and shared read-only by the samples; each sample only draws
+        // its deviations ([`InSramMultiplier::mismatch_error_sample`],
+        // bit-identical to the scalar `multiply_with_mismatch` loop).
+        let grid = multiplier
+            .mismatch_grid(nominal)
+            .map_err(|source| ImcError::CornerFailed {
+                index: 0,
+                corner: "nominal mismatch Monte-Carlo grid".to_string(),
+                source: Box::new(source),
+            })?;
         let sample_indices: Vec<u64> = (0..config.mismatch_samples as u64).collect();
         let per_sample_error_lsb = par_map_sweep(&sample_indices, config.threads, |_, &sample| {
-            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
-            let mut errors = Vec::with_capacity(input_space);
-            for a in 0..=operand_max {
-                for d in 0..=operand_max {
-                    let outcome = multiplier.multiply_with_mismatch(&mut rng, a, d, nominal)?;
-                    errors.push(outcome.error_lsb().abs());
-                }
-            }
-            Ok::<_, ImcError>(stats::mean(&errors))
+            let rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+            Ok::<_, Infallible>(multiplier.mismatch_error_sample(&grid, rng))
         })
-        .map_err(|err| {
-            let sample = sample_indices[err.index];
-            ImcError::from_sweep(err, format!("mismatch Monte-Carlo sample {sample}"))
-        })?;
+        .unwrap_or_else(|err| match err.source {});
         let mismatch_monte_carlo = MismatchMonteCarlo {
             mean_error_lsb: stats::mean(&per_sample_error_lsb),
             std_error_lsb: stats::std_dev(&per_sample_error_lsb),
@@ -274,9 +278,15 @@ fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result
 mod tests {
     use super::*;
     use crate::multiplier::{MultiplierConfig, PRODUCT_MAX};
-    use crate::testsupport::{linear_suite, pvt_sensitive_suite};
+    use crate::reliability::FaultState;
+    use crate::testsupport::{linear_suite, linear_suite_with_mismatch, pvt_sensitive_suite};
     use optima_circuit::array::ArrayConfig;
+    use optima_circuit::defects::{
+        BitLineFault, CellDefect, DefectMap, DefectModel, LifetimeTrajectory,
+    };
+    use optima_core::model::mismatch::MismatchSigmaModel;
     use optima_math::units::Seconds;
+    use optima_math::Polynomial;
 
     fn multiplier(suite_sensitive: bool) -> InSramMultiplier {
         let suite = if suite_sensitive {
@@ -445,5 +455,197 @@ mod tests {
             .unwrap();
             assert_eq!(serial, parallel, "threads = {threads}");
         }
+    }
+
+    /// The scalar reference of the Monte Carlo: every pair of every sample
+    /// through [`InSramMultiplier::multiply_with_mismatch`] on the sample's
+    /// split-seed stream, averaged with [`stats::mean`].
+    fn scalar_monte_carlo(multiplier: &InSramMultiplier, config: &PvtAnalysisConfig) -> Vec<f64> {
+        let nominal = multiplier.nominal_operating_point();
+        let max = multiplier.array().operand_max();
+        (0..config.mismatch_samples as u64)
+            .map(|sample| {
+                let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+                let mut errors = Vec::with_capacity(multiplier.array().input_space());
+                for a in 0..=max {
+                    for d in 0..=max {
+                        let outcome = multiplier
+                            .multiply_with_mismatch(&mut rng, a, d, nominal)
+                            .unwrap();
+                        errors.push(outcome.error_lsb().abs());
+                    }
+                }
+                stats::mean(&errors)
+            })
+            .collect()
+    }
+
+    /// Asserts that the grid Monte Carlo of [`PvtAnalysis::run`] reproduces
+    /// the scalar reference bit for bit at 1, 2 and 8 threads.
+    fn assert_monte_carlo_matches_scalar(multiplier: &InSramMultiplier, samples: usize) {
+        let config = PvtAnalysisConfig {
+            mismatch_samples: samples,
+            supply_voltages: vec![1.0],
+            temperatures: vec![25.0],
+            ..PvtAnalysisConfig::fast()
+        };
+        let reference = scalar_monte_carlo(multiplier, &config);
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mean = stats::mean(&reference);
+        let std = stats::std_dev(&reference);
+        let worst = reference.iter().cloned().fold(0.0, f64::max);
+        for threads in [1, 2, 8] {
+            let mc = PvtAnalysis::run(
+                multiplier,
+                &PvtAnalysisConfig {
+                    threads,
+                    ..config.clone()
+                },
+            )
+            .unwrap()
+            .mismatch_monte_carlo;
+            assert_eq!(
+                bits(&mc.per_sample_error_lsb),
+                bits(&reference),
+                "per-sample errors, threads = {threads}"
+            );
+            assert_eq!(
+                mc.mean_error_lsb.to_bits(),
+                mean.to_bits(),
+                "threads = {threads}"
+            );
+            assert_eq!(
+                mc.std_error_lsb.to_bits(),
+                std.to_bits(),
+                "threads = {threads}"
+            );
+            assert_eq!(
+                mc.worst_error_lsb.to_bits(),
+                worst.to_bits(),
+                "threads = {threads}"
+            );
+        }
+    }
+
+    /// The first defect map (by seed) for `array` whose stored-operand row 0
+    /// satisfies `accept`.
+    fn find_map(
+        array: &ArrayConfig,
+        model: impl Fn(u64) -> DefectModel,
+        accept: impl Fn(&DefectMap) -> bool,
+    ) -> DefectMap {
+        (0..10_000u64)
+            .map(|seed| DefectMap::sample(array, &model(seed)).unwrap())
+            .find(|map| accept(map))
+            .expect("no defect map with the requested faults")
+    }
+
+    /// A pristine multiplier plus two faulted ones on `base` with two spare
+    /// columns: an unmitigated map with a stuck cell, an open and a shorted
+    /// bit-line among the word's columns, and a redundancy-remapped map;
+    /// both carry retention drift and accumulated V_th aging.  The pristine
+    /// DAC starts at 0 V, so slice operand 0 has a zero σ and draws nothing.
+    /// (A short saturates the single INT4 pass whatever the draws, so only
+    /// the composed INT8 passes make a shorted column's skipped draw
+    /// observable.)
+    fn oracle_multipliers(base: ArrayConfig) -> Vec<InSramMultiplier> {
+        let config = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0));
+        let zero_sigma = MultiplierConfig::new(Seconds(0.16e-9), Volts(0.0), Volts(1.0));
+        let array = base.with_spares(2);
+        let word = 0..array.operand_bits as u16;
+        let aged = LifetimeTrajectory::nbti_like().at(3);
+        let faulty = DefectModel {
+            stuck_at_zero_rate: 0.1,
+            stuck_at_one_rate: 0.1,
+            open_bitline_rate: 0.15,
+            short_bitline_rate: 0.15,
+            retention_sigma: 0.05,
+            ..DefectModel::pristine(0)
+        };
+        let unmitigated = find_map(
+            &array,
+            |seed| DefectModel { seed, ..faulty },
+            |map| {
+                let has = |fault| word.clone().any(|c| map.bitline_unchecked(c) == fault);
+                has(BitLineFault::Open)
+                    && has(BitLineFault::Shorted)
+                    && word.clone().any(|c| {
+                        map.bitline_unchecked(c) == BitLineFault::Healthy
+                            && map.cell_unchecked(0, c) != CellDefect::Healthy
+                    })
+            },
+        );
+        let repairable = find_map(
+            &array,
+            |seed| DefectModel {
+                seed,
+                ..DefectModel::uniform(0.2, 0)
+            },
+            |map| {
+                FaultState::with_redundancy(&array, map.clone(), 0)
+                    .is_ok_and(|state| state.remap().remapped() >= 1)
+            },
+        );
+        let pristine = InSramMultiplier::new(linear_suite(), zero_sigma.with_array(base)).unwrap();
+        let spared = InSramMultiplier::new(linear_suite(), config.with_array(array)).unwrap();
+        let states = [
+            FaultState::unmitigated(&array, unmitigated, 0).unwrap(),
+            FaultState::with_redundancy(&array, repairable, 0).unwrap(),
+        ];
+        let mut multipliers = vec![pristine];
+        for state in states {
+            let state = state.with_lifetime(&aged);
+            multipliers.push(spared.clone().with_faults(state).unwrap());
+        }
+        multipliers
+    }
+
+    #[test]
+    fn grid_monte_carlo_is_bit_identical_to_scalar_multiplication_int4() {
+        for multiplier in oracle_multipliers(ArrayConfig::paper()) {
+            assert_monte_carlo_matches_scalar(&multiplier, 6);
+        }
+    }
+
+    #[test]
+    fn grid_monte_carlo_is_bit_identical_to_scalar_multiplication_int8() {
+        for multiplier in oracle_multipliers(ArrayConfig::int8()) {
+            assert_monte_carlo_matches_scalar(&multiplier, 2);
+        }
+    }
+
+    #[test]
+    fn non_finite_mismatch_sigma_is_a_typed_error() {
+        // σ = (2e154 · t[ns]) · (1e154 · V_WL) overflows to +inf only for
+        // the MSB column (1.28 ns) at word lines above ~0.70 V, i.e. from
+        // slice operand 7 of the 0.45–1.0 V DAC on.
+        let suite = linear_suite_with_mismatch(MismatchSigmaModel::new(
+            Polynomial::new(vec![0.0, 2e154]),
+            Polynomial::new(vec![0.0, 1e154]),
+        ));
+        let multiplier = InSramMultiplier::new(
+            suite,
+            MultiplierConfig::new(Seconds(0.16e-9), Volts(0.45), Volts(1.0)),
+        )
+        .unwrap();
+        let err = PvtAnalysis::run(&multiplier, &PvtAnalysisConfig::fast()).unwrap_err();
+        let ImcError::CornerFailed { corner, source, .. } = &err else {
+            panic!("expected a failed corner, got {err}");
+        };
+        assert_eq!(corner, "nominal mismatch Monte-Carlo grid");
+        assert!(
+            matches!(
+                source.as_ref(),
+                ImcError::CornerFailed { index: 31, corner, source }
+                    if corner == "mismatch grid a_slice = 7, bit = 3"
+                        && matches!(source.as_ref(), ImcError::InvalidConfiguration { .. })
+            ),
+            "{err}"
+        );
+        assert!(
+            err.to_string()
+                .contains("mismatch sigma is not finite (inf V)"),
+            "{err}"
+        );
     }
 }

@@ -14,6 +14,14 @@ use optima_math::Polynomial;
 /// the threshold voltage, the resulting multiplier is nearly ideal, which
 /// makes expected results easy to reason about in tests.
 pub(crate) fn linear_suite() -> ModelSuite {
+    linear_suite_with_mismatch(MismatchSigmaModel::new(
+        Polynomial::new(vec![0.0, 1e-3]),
+        Polynomial::new(vec![0.0, 1.0]),
+    ))
+}
+
+/// [`linear_suite`] with a caller-chosen mismatch σ-model.
+pub(crate) fn linear_suite_with_mismatch(mismatch: MismatchSigmaModel) -> ModelSuite {
     ModelSuite::new(
         DischargeModel::new(
             Volts(1.0),
@@ -25,10 +33,7 @@ pub(crate) fn linear_suite() -> ModelSuite {
         ),
         SupplyModel::identity(Volts(1.0)),
         TemperatureModel::identity(Celsius(25.0)),
-        MismatchSigmaModel::new(
-            Polynomial::new(vec![0.0, 1e-3]),
-            Polynomial::new(vec![0.0, 1.0]),
-        ),
+        mismatch,
         WriteEnergyModel::new(Polynomial::new(vec![11.0]), Polynomial::new(vec![1.0])),
         DischargeEnergyModel::new(
             Polynomial::new(vec![1.0]),

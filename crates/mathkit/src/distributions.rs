@@ -61,7 +61,17 @@ impl Gaussian {
 
     /// Draws one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
-        self.mean + self.std_dev * standard_normal(rng)
+        self.map_standard(standard_normal(rng))
+    }
+
+    /// Maps a standard-normal variate `z` onto this distribution
+    /// (`mean + std_dev · z`).  [`Gaussian::sample`] is exactly
+    /// `map_standard(standard_normal(rng))`, so a caller that draws its
+    /// variates ahead with [`standard_normal`] reproduces `sample` bit for
+    /// bit.
+    #[inline]
+    pub fn map_standard(&self, z: f64) -> f64 {
+        self.mean + self.std_dev * z
     }
 
     /// Draws `n` samples.
