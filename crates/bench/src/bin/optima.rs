@@ -14,10 +14,16 @@
 //! report per experiment.  The process exits non-zero when **any**
 //! experiment fails or returns an empty report — every remaining experiment
 //! still runs, so one broken figure cannot hide another.
+//!
+//! Every stdout write goes through [`write_stdout`].  When the reader has
+//! gone away (`optima list | head -n 1`), `list`, `design-md` and `--help`
+//! end quietly with status 0, and `run` stops with one stderr line and
+//! status 1, instead of panicking.
 
 use optima_bench::experiments::{self, BenchError, Experiment, ExperimentContext, Profile};
 use optima_bench::json::Json;
 use optima_circuit::array::ArrayConfig;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -31,8 +37,7 @@ USAGE:
 
 OPTIONS (run):
     --all                 run every registered experiment
-    --profile fast|full   execution profile (default: OPTIMA_PROFILE, else full;
-                          OPTIMA_QUICK=1 is a deprecated alias for fast)
+    --profile fast|full   execution profile (default: OPTIMA_PROFILE, else full)
     --seed N              base RNG seed (default 42)
     --threads N           sweep-engine worker threads (default 0 = auto)
     --json DIR            additionally write DIR/<name>.json per experiment
@@ -233,23 +238,33 @@ fn parse_run_options(args: &[String]) -> RunOptions {
     options
 }
 
-fn cmd_list() {
+/// Writes `text` to stdout in one write on the locked handle, then flushes,
+/// so a closed reader surfaces here as an `io::ErrorKind::BrokenPipe` error
+/// rather than as a panic inside `print!`.
+fn write_stdout(text: &str) -> io::Result<()> {
+    let mut out = io::stdout().lock();
+    write!(out, "{text}")?;
+    out.flush()
+}
+
+fn list_text() -> String {
     let experiments = experiments::registry();
     let width = experiments
         .iter()
         .map(|e| e.name().len())
         .max()
         .unwrap_or(0);
-    println!("{} registered experiments:\n", experiments.len());
+    let mut text = format!("{} registered experiments:\n\n", experiments.len());
     for experiment in experiments {
-        println!(
-            "  {:width$}  {:22}  {}",
+        text.push_str(&format!(
+            "  {:width$}  {:22}  {}\n",
             experiment.name(),
             experiment.paper_ref(),
             experiment.description(),
-        );
+        ));
     }
-    println!("\nRun one with `optima run <name>`, everything with `optima run --all`.");
+    text.push_str("\nRun one with `optima run <name>`, everything with `optima run --all`.\n");
+    text
 }
 
 /// Builds the JSON envelope around one experiment's report.
@@ -338,7 +353,9 @@ fn cmd_run(args: &[String]) -> i32 {
     let mut failures: Vec<(String, String)> = Vec::new();
     for (i, experiment) in selected.iter().enumerate() {
         if i > 0 {
-            println!();
+            if let Err(err) = write_stdout("\n") {
+                return stdout_lost(&err);
+            }
         }
         eprintln!(
             "[{}/{}] running {} ({}, profile {})",
@@ -360,7 +377,9 @@ fn cmd_run(args: &[String]) -> i32 {
                 eprintln!("error: {} returned an empty report", experiment.name());
             }
             Ok(report) => {
-                print!("{}", report.render_text());
+                if let Err(err) = write_stdout(&report.render_text()) {
+                    return stdout_lost(&err);
+                }
                 if let Some(dir) = &options.json_dir {
                     let envelope = report_envelope(
                         *experiment,
@@ -399,6 +418,13 @@ fn cmd_run(args: &[String]) -> i32 {
     }
 }
 
+/// `run`'s answer to a failed stdout write: the remaining reports have
+/// nowhere to go, so it stops with one stderr line and status 1.
+fn stdout_lost(err: &io::Error) -> i32 {
+    eprintln!("error: cannot write the report to stdout: {err}");
+    1
+}
+
 fn write_json(path: &Path, document: &Json) -> Result<(), BenchError> {
     std::fs::write(path, document.render()).map_err(|source| BenchError::Io {
         path: path.display().to_string(),
@@ -408,17 +434,24 @@ fn write_json(path: &Path, document: &Json) -> Result<(), BenchError> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
+    let written = match args.first().map(String::as_str) {
         Some("list") => {
             if args.len() > 1 {
                 usage_error("list takes no arguments");
             }
-            cmd_list();
+            write_stdout(&list_text())
         }
         Some("run") => std::process::exit(cmd_run(&args[1..])),
-        Some("design-md") => print!("{}", experiments::design_md()),
-        Some("--help") | Some("-h") | Some("help") => print!("{USAGE}"),
+        Some("design-md") => write_stdout(&experiments::design_md()),
+        Some("--help") | Some("-h") | Some("help") => write_stdout(USAGE),
         Some(other) => usage_error(&format!("unknown command {other:?}")),
         None => usage_error("missing command"),
+    };
+    if let Err(err) = written {
+        // A reader that stopped early (`| head`) has everything it asked for.
+        if err.kind() != io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {err}");
+            std::process::exit(1);
+        }
     }
 }

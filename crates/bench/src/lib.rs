@@ -1,13 +1,13 @@
-//! Shared plumbing for the experiment harnesses and Criterion benches.
+//! Shared plumbing for the experiments and the `bench_report` perf harness.
 //!
 //! Every figure, table and ablation of the paper is an
 //! [`experiments::Experiment`] registered in [`experiments::registry`] (see
 //! DESIGN.md for the per-experiment index) and driven by the `optima` CLI
-//! binary; the legacy per-experiment binaries in `src/bin/` are thin shims
-//! over the same registry.  This library additionally provides the pieces
-//! they share: model calibration (snapshot-cached), the three Table I corner
-//! configurations, structured [`report::Report`]s with text/JSON renderers,
-//! and the naive reference forward pass used by the perf benches.
+//! binary, the crate's one experiment entry point.  This library
+//! additionally provides the pieces they share: model calibration
+//! (snapshot-cached), the three Table I corner configurations, structured
+//! [`report::Report`]s with text/JSON renderers, and the naive reference
+//! forward pass that `bench_report` times and bit-checks against.
 
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::technology::Technology;

@@ -1,39 +1,63 @@
 //! Structural invariants of the unified experiment API: the registry, the
-//! shim binaries and the generated DESIGN.md index must stay in lock-step.
+//! `optima` CLI and the generated DESIGN.md index must stay in lock-step.
 
 use optima_bench::experiments::{design_md, find, registry};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+use std::process::{Command, Output};
 
-/// The `src/bin` entries that are not experiment shims: the multiplexed
-/// runner itself and the perf-trajectory reporter.
-const NON_SHIM_BINARIES: &[&str] = &["optima", "bench_report"];
-
-fn shim_binary_names() -> BTreeSet<String> {
-    let bin_dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/bin");
-    std::fs::read_dir(&bin_dir)
-        .expect("src/bin is readable")
-        .map(|entry| entry.expect("directory entry is readable").path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "rs"))
-        .map(|path| {
-            path.file_stem()
-                .expect("binary file has a stem")
-                .to_string_lossy()
-                .into_owned()
-        })
-        .filter(|name| !NON_SHIM_BINARIES.contains(&name.as_str()))
-        .collect()
+/// Runs the `optima` binary with its stdout on a pipe whose reader is
+/// already closed, the way `optima list | head -n 0` leaves it.
+fn optima_on_closed_pipe(args: &[&str]) -> Output {
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    Command::new(env!("CARGO_BIN_EXE_optima"))
+        .args(args)
+        .stdout(writer)
+        .output()
+        .expect("optima spawns")
 }
 
 #[test]
-fn every_shim_binary_has_a_registered_experiment_and_vice_versa() {
-    let shims = shim_binary_names();
-    let registered: BTreeSet<String> = registry().iter().map(|e| e.name().to_string()).collect();
-    assert_eq!(
-        shims, registered,
-        "src/bin shims and the experiment registry must be a bijection \
-         (left: shims, right: registry)"
+fn list_on_a_closed_pipe_exits_zero_without_panicking() {
+    let output = optima_on_closed_pipe(&["list"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(output.status.code(), Some(0), "stderr: {stderr}");
+}
+
+#[test]
+fn run_on_a_closed_pipe_exits_one_with_a_single_error_line() {
+    let output = optima_on_closed_pipe(&["run", "fig1_sota", "--profile", "fast"]);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    let errors: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("error:"))
+        .collect();
+    assert_eq!(errors.len(), 1, "stderr: {stderr}");
+    assert!(
+        errors[0].starts_with("error: cannot write the report to stdout:"),
+        "stderr: {stderr}"
     );
+}
+
+#[test]
+fn list_leads_with_the_registry_size() {
+    // CI counts the expected `run --all` reports with
+    // `optima list | head -n 1 | cut -d' ' -f1`.
+    let output = Command::new(env!("CARGO_BIN_EXE_optima"))
+        .arg("list")
+        .output()
+        .expect("optima spawns");
+    assert!(output.status.success());
+    let stdout = String::from_utf8(output.stdout).expect("list output is UTF-8");
+    let first_word = stdout
+        .lines()
+        .next()
+        .and_then(|line| line.split(' ').next());
+    assert_eq!(first_word, Some(registry().len().to_string().as_str()));
 }
 
 #[test]

@@ -11,6 +11,7 @@
 
 use optima_bench::experiments::{find, ExperimentContext, Profile};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn golden(name: &str) -> String {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -60,6 +61,22 @@ fn fig5_pvt_text_output_is_byte_identical_to_the_pre_refactor_binary() {
 fn table1_corners_text_output_is_byte_identical_to_the_pre_refactor_binary() {
     // Fully deterministic — not a single byte may differ.
     assert_eq!(run_fast("table1_corners"), golden("table1_corners"));
+}
+
+#[test]
+fn optima_run_prints_the_table1_corners_golden_byte_for_byte() {
+    // The CLI adds nothing to stdout around a single experiment's report.
+    let output = Command::new(env!("CARGO_BIN_EXE_optima"))
+        .args(["run", "table1_corners", "--profile", "fast"])
+        .output()
+        .expect("optima spawns");
+    assert!(
+        output.status.success(),
+        "optima run failed: {}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    let stdout = String::from_utf8(output.stdout).expect("report is UTF-8");
+    assert_eq!(stdout, golden("table1_corners"));
 }
 
 #[test]

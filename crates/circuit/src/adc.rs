@@ -7,7 +7,6 @@
 
 use crate::error::CircuitError;
 use optima_math::units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// A behavioural successive-approximation ADC.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Adc {
     bits: u8,
     full_scale: Volts,

@@ -15,7 +15,6 @@
 //! the same geometry.
 
 use crate::error::CircuitError;
-use serde::{Deserialize, Serialize};
 
 /// Geometry of one compute array: logical operand width, per-pass analog
 /// slice width, physical dimensions and column multiplexing.
@@ -38,7 +37,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(int8.slices(), 2); // 2×2 = 4 analog passes per product
 /// int8.validate().unwrap();
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ArrayConfig {
     /// Logical operand width in bits (1..=8; products must fit `u16`).
     pub operand_bits: u8,

@@ -9,10 +9,9 @@
 use crate::error::CircuitError;
 use crate::technology::Technology;
 use optima_math::units::{Farads, Joules, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A single bit-line (or bit-line-bar) of an SRAM column.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitLine {
     capacitance: Farads,
     voltage: Volts,

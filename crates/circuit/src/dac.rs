@@ -8,10 +8,9 @@
 
 use crate::error::CircuitError;
 use optima_math::units::Volts;
-use serde::{Deserialize, Serialize};
 
 /// Transfer-curve shape of the DAC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DacTransfer {
     /// Conventional linear DAC (the paper's default).
     #[default]
@@ -37,7 +36,7 @@ pub enum DacTransfer {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Dac {
     bits: u8,
     zero_voltage: Volts,

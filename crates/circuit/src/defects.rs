@@ -24,7 +24,6 @@ use crate::error::CircuitError;
 use crate::pvt::PvtConditions;
 use optima_math::seed::{split_next, standard_normal, stream_seed, unit_interval};
 use optima_math::units::{Celsius, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Domain-separation salt of the per-cell sampling streams.
 const CELL_SALT: u64 = 0x6F70_7469_6D61_0001;
@@ -37,7 +36,7 @@ const BITLINE_SALT: u64 = 0x6F70_7469_6D61_0002;
 const DRIFT_FLOOR: f64 = -0.95;
 
 /// Behaviour of one SRAM bit-cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CellDefect {
     /// The cell stores and reads back its written value.
     Healthy,
@@ -50,7 +49,7 @@ pub enum CellDefect {
 }
 
 /// Fault of one whole bit-line column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BitLineFault {
     /// The column conducts normally.
     Healthy,
@@ -68,7 +67,7 @@ pub enum BitLineFault {
 /// All rates are probabilities in `[0, 1]`; `retention_sigma` is the
 /// standard deviation of the per-cell relative retention drift (`0.05` means
 /// a cell's discharge typically deviates by ±5 %).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DefectModel {
     /// Probability of a cell being stuck at 0.
     pub stuck_at_zero_rate: f64,
@@ -160,7 +159,7 @@ impl DefectModel {
 }
 
 /// Aggregate defect counts of one sampled [`DefectMap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DefectCounts {
     /// Cells stuck at 0.
     pub stuck_at_zero: usize,
@@ -189,7 +188,7 @@ impl DefectCounts {
 /// physical index, so the identical `(ArrayConfig, DefectModel)` pair always
 /// produces the identical map, in any iteration order and at any thread
 /// count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DefectMap {
     array: ArrayConfig,
     /// Per-cell defect kind, row-major over the physical columns.
@@ -381,7 +380,7 @@ impl DefectMap {
 /// temperature instability shifts the access transistors' V_th (modelled as
 /// a word-line-referred voltage loss), and the per-cell retention drift
 /// amplitude grows.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimeTrajectory {
     /// Junction-temperature increase per deployment step.
     pub temperature_drift_per_step: Celsius,
@@ -454,7 +453,7 @@ impl LifetimeTrajectory {
 }
 
 /// The accumulated aging state at one point of a [`LifetimeTrajectory`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LifetimePoint {
     /// Deployment step this point describes (0 = fresh).
     pub step: usize,

@@ -9,7 +9,6 @@
 use crate::pvt::PvtConditions;
 use crate::technology::Technology;
 use optima_math::units::{Joules, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Leakage/short-circuit overhead applied to the ideal `C·V²` write energy,
 /// growing slowly with temperature.
@@ -19,7 +18,7 @@ const WRITE_TEMPERATURE_COEFFICIENT: f64 = 6e-4;
 const DISCHARGE_TEMPERATURE_COEFFICIENT: f64 = 3e-4;
 
 /// Energy breakdown of a single in-SRAM operation.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EnergyReport {
     /// Energy of the cell write preceding the computation.
     pub write: Joules,

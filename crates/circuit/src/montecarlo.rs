@@ -12,10 +12,9 @@ use optima_math::units::Volts;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// One sampled mismatch realisation applied to a device.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct MismatchSample {
     /// Threshold-voltage deviation of the device.
     pub delta_vth: Volts,
@@ -47,7 +46,7 @@ impl MismatchSample {
 /// let samples = model.sample_n(1000, 42);
 /// assert_eq!(samples.len(), 1000);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MismatchModel {
     vth_sigma: Volts,
     beta_sigma_rel: f64,

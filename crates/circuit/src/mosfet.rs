@@ -12,10 +12,9 @@ use crate::montecarlo::MismatchSample;
 use crate::pvt::PvtConditions;
 use crate::technology::Technology;
 use optima_math::units::{Amperes, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Polarity of a MOSFET.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MosfetKind {
     /// N-channel device (pull-down / access transistors of the 6T cell).
     Nmos,
@@ -24,7 +23,7 @@ pub enum MosfetKind {
 }
 
 /// Operating region of a MOSFET at a given bias point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperatingRegion {
     /// `V_GS` below threshold: only subthreshold leakage flows.
     Subthreshold,
@@ -48,7 +47,7 @@ pub enum OperatingRegion {
 /// let weak = fet.drain_current(Volts(0.3), Volts(1.0));
 /// assert!(strong.0 > 100.0 * weak.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mosfet {
     kind: MosfetKind,
     threshold: Volts,

@@ -8,10 +8,9 @@
 
 use crate::technology::{ProcessCorner, Technology};
 use optima_math::units::{Celsius, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A process/voltage/temperature operating point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PvtConditions {
     /// Supply voltage.
     pub vdd: Volts,
@@ -75,7 +74,7 @@ impl PvtConditions {
 /// let points = sweep.points();
 /// assert_eq!(points.len(), 3 * 4);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PvtSweep {
     vdd_values: Vec<f64>,
     temperature_values: Vec<f64>,

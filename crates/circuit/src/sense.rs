@@ -13,10 +13,9 @@ use crate::pvt::PvtConditions;
 use crate::technology::Technology;
 use crate::transient::{DischargeStimulus, TransientSimulator};
 use optima_math::units::{Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A latch-type differential sense amplifier.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SenseAmplifier {
     /// Input-referred offset voltage (positive values favour reading '1').
     pub offset: Volts,
@@ -61,7 +60,7 @@ impl SenseAmplifier {
 }
 
 /// Outcome of a conventional read operation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReadOutcome {
     /// The value resolved by the sense amplifier.
     pub value: bool,

@@ -14,7 +14,6 @@ use crate::mosfet::{Mosfet, MosfetKind};
 use crate::pvt::PvtConditions;
 use crate::technology::Technology;
 use optima_math::units::{Amperes, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A single 6T SRAM cell.
 ///
@@ -32,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// let zero_cell = SramCell::new(false, &tech, &pvt, &MismatchSample::none());
 /// assert_eq!(zero_cell.discharge_current(Volts(1.0), Volts(1.0)).0, 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SramCell {
     stored_bit: bool,
     access: Mosfet,
@@ -102,7 +101,7 @@ impl SramCell {
 
 /// A word-oriented SRAM array: `words` rows of `bits_per_word` cells
 /// (Fig. 2 shows 4-bit words, the configuration used by the multiplier).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SramArray {
     words: usize,
     bits_per_word: usize,

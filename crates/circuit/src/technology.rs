@@ -7,7 +7,6 @@
 //! behaviour the paper relies on (see DESIGN.md, substitution table).
 
 use optima_math::units::{Celsius, Farads, Volts};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Systematic process corner of a fabricated die.
@@ -16,7 +15,7 @@ use std::fmt;
 /// device types in opposite directions.  For the bit-line discharge only the
 /// NMOS pull-down path matters, so `FastSlow` behaves close to `FastFast` and
 /// `SlowFast` close to `SlowSlow`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProcessCorner {
     /// Fast NMOS, fast PMOS.
     FastFast,
@@ -76,7 +75,7 @@ impl fmt::Display for ProcessCorner {
 /// Nominal parameters of a CMOS technology node.
 ///
 /// All voltages in volts, capacitances in farads, transconductance in A/V².
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Technology {
     /// Name of the technology node (informational only).
     pub name: String,

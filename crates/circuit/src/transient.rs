@@ -18,10 +18,9 @@ use crate::technology::Technology;
 use crate::waveform::Waveform;
 use optima_math::ode;
 use optima_math::units::{Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Stimulus description for a single-cell discharge experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DischargeStimulus {
     /// Analog word-line voltage applied during the discharge phase.
     pub word_line_voltage: Volts,

@@ -7,7 +7,6 @@
 use crate::error::CircuitError;
 use optima_math::interp;
 use optima_math::units::{Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// A uniformly or non-uniformly sampled voltage waveform.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Waveform {
     times: Vec<f64>,
     values: Vec<f64>,

@@ -27,10 +27,9 @@ use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
 use optima_math::lsq::{polynomial_fit, SeparableFit};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Polynomial degrees of the fitted models (the paper's choices by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ModelDegrees {
     /// Degree of `p(V_od)` in Eq. 3 (paper: 4).
     pub overdrive: usize,
@@ -75,7 +74,7 @@ impl Default for ModelDegrees {
 }
 
 /// Configuration of the calibration sweep grids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CalibrationConfig {
     /// Word-line voltages of the basic discharge sweep (volts).
     pub wordline_voltages: Vec<f64>,
@@ -155,7 +154,7 @@ impl CalibrationConfig {
 /// produced by [`crate::evaluation::ModelEvaluator::rms_errors`]; the values
 /// here are the residuals on the *training* grid and serve as a quick sanity
 /// check that each fit converged.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct CalibrationReport {
     /// RMS residual of the basic discharge fit (millivolts).
     pub basic_discharge_rms_mv: f64,

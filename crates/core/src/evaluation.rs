@@ -27,11 +27,10 @@ use optima_circuit::technology::Technology;
 use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
 use optima_math::stats;
 use optima_math::units::{Celsius, Seconds, Volts};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Held-out RMS errors of the six OPTIMA models (the Fig. 6 numbers).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RmsErrorReport {
     /// Basic discharge model (Eq. 3), millivolts.
     pub basic_discharge_mv: f64,
@@ -59,7 +58,7 @@ impl RmsErrorReport {
 }
 
 /// Result of a speed-up measurement.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SpeedupReport {
     /// Wall-clock seconds spent in the golden-reference circuit simulator.
     pub circuit_seconds: f64,

@@ -8,7 +8,6 @@ use crate::error::ModelError;
 use crate::model::to_nanoseconds;
 use optima_math::units::{Seconds, Volts};
 use optima_math::Polynomial;
-use serde::{Deserialize, Serialize};
 
 /// The Eq. 3 discharge model.
 ///
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let v = model.bitline_voltage(Seconds(1e-9), Volts(0.95)).unwrap();
 /// assert!((v.0 - (1.0 - 0.2 * 0.5)).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DischargeModel {
     vdd_nominal: Volts,
     threshold: Volts,

@@ -11,7 +11,6 @@
 
 use optima_math::units::{Celsius, FemtoJoules, Volts};
 use optima_math::Polynomial;
-use serde::{Deserialize, Serialize};
 
 /// The Eq. 7 write-energy model.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// );
 /// assert!((model.energy(Volts(1.0), Celsius(25.0)).0 - 20.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WriteEnergyModel {
     /// `p2(V_DD)` in femtojoules.
     factor_vdd: Polynomial,
@@ -81,7 +80,7 @@ impl WriteEnergyModel {
 /// let e = model.energy(Volts(0.2), Volts(1.0), Celsius(25.0));
 /// assert!((e.0 - 20.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DischargeEnergyModel {
     /// `p1(V_DD)` dimensionless factor.
     factor_vdd: Polynomial,

@@ -10,7 +10,6 @@ use optima_math::distributions::Gaussian;
 use optima_math::units::{Seconds, Volts};
 use optima_math::Polynomial;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// The Eq. 6 mismatch-σ model.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let sigma = model.sigma(Seconds(1e-9), Volts(0.8));
 /// assert!((sigma.0 - 0.8e-3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MismatchSigmaModel {
     /// `p3(t)` — time factor (argument in nanoseconds).
     factor_time: Polynomial,

@@ -12,14 +12,13 @@ use crate::model::supply::SupplyModel;
 use crate::model::temperature::TemperatureModel;
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// All OPTIMA behavioural models of one calibrated technology.
 ///
 /// Constructed by [`crate::calibration::Calibrator::run`]; the individual
 /// models can also be assembled by hand (e.g. in tests or to load previously
 /// exported coefficients).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelSuite {
     discharge: DischargeModel,
     supply: SupplyModel,

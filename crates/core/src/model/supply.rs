@@ -5,7 +5,6 @@
 
 use optima_math::units::Volts;
 use optima_math::Polynomial;
-use serde::{Deserialize, Serialize};
 
 /// Multiplicative supply-voltage correction factor.
 ///
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((model.factor(Volts(1.1)) - 1.1).abs() < 1e-12);
 /// assert!((model.apply(0.8, Volts(0.9)) - 0.72).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SupplyModel {
     vdd_nominal: Volts,
     /// `p2(ΔV_DD)` — correction polynomial in the supply deviation.

@@ -7,7 +7,6 @@
 use crate::model::to_nanoseconds;
 use optima_math::units::{Celsius, Seconds, Volts};
 use optima_math::Polynomial;
-use serde::{Deserialize, Serialize};
 
 /// Additive temperature correction term.
 ///
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// let term = model.term(Seconds(1e-9), Volts(0.8), Celsius(75.0));
 /// assert!((term.0 - 1.0 * 50.0 * 1e-4).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TemperatureModel {
     temperature_nominal: Celsius,
     /// `p3(V_WL)` — sensitivity polynomial in the word-line voltage

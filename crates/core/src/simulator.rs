@@ -13,10 +13,9 @@ use crate::model::suite::ModelSuite;
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 
 /// What happens at an event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EventKind {
     /// Pre-charge the bit-line of `column` back to the supply level.
     Precharge {
@@ -45,7 +44,7 @@ pub enum EventKind {
 }
 
 /// A timestamped event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Event {
     /// When the event happens (simulation time).
     pub time: Seconds,
@@ -61,7 +60,7 @@ impl Event {
 }
 
 /// One recorded bit-line sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BitlineSample {
     /// Sampling time.
     pub time: Seconds,
@@ -74,7 +73,7 @@ pub struct BitlineSample {
 }
 
 /// Output of one simulation run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct SimulationTrace {
     /// All recorded bit-line samples, in event order.
     pub samples: Vec<BitlineSample>,

@@ -4,12 +4,11 @@
 //! experiment: hundreds of golden-reference transients feeding six
 //! least-squares fits.  This module makes it a build-once artifact — a
 //! [`crate::calibration::CalibrationOutcome`] can be saved to disk and
-//! loaded back bit-exactly, so experiment binaries start in milliseconds
+//! loaded back bit-exactly, so experiment runs start in milliseconds
 //! instead of re-running the circuit sweeps.
 //!
 //! The on-disk format is a small versioned text format (the workspace has no
-//! serialization crates — the vendored `serde` is a marker-trait stub), with
-//! three integrity gates checked by [`load`]:
+//! serialization crate), with three integrity gates checked by [`load`]:
 //!
 //! 1. a **schema tag** (`optima-calibration-snapshot v1`) so incompatible
 //!    layouts are rejected instead of mis-parsed,

@@ -23,7 +23,6 @@ use crate::quantized::QuantizedNetwork;
 use crate::scratch::KernelScratch;
 use crate::tensor::Tensor;
 use optima_core::sweep::par_map_sweep_with;
-use serde::{Deserialize, Serialize};
 
 /// Anything that can classify one image.
 pub trait InferenceModel {
@@ -106,7 +105,7 @@ impl BatchInferenceModel for QuantizedNetwork {
 }
 
 /// Result of evaluating a model on a dataset's test split.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvaluationReport {
     /// Fraction of samples whose top prediction is the true class.
     pub top1: f64,

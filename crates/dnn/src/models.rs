@@ -13,11 +13,10 @@ use crate::layers::{Conv2d, Dense, Flatten, GlobalAvgPool, Layer, MaxPool2d, Rel
 use crate::network::Network;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which published architecture a model is the scaled-down analogue of.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// VGG16-style: two convolutions per block.
     Vgg16Style,

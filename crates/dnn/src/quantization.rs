@@ -12,8 +12,6 @@
 //! points below delegate to the width-parameterized ones with `bits = 4` and
 //! stay bit-identical to the original hard-wired implementation.
 
-use serde::{Deserialize, Serialize};
-
 /// Operand width of the paper's default INT4 pipeline.
 pub const INT4_BITS: u8 = 4;
 
@@ -37,7 +35,7 @@ pub fn unsigned_max(bits: u8) -> u8 {
 }
 
 /// Per-tensor quantization parameters (scale only; zero point is always 0).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantizationParams {
     /// Real value represented by one integer step.
     pub scale: f32,

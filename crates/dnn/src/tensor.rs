@@ -6,7 +6,6 @@
 //! readable.
 
 use crate::error::DnnError;
-use serde::{Deserialize, Serialize};
 use std::cell::Cell;
 
 thread_local! {
@@ -37,7 +36,7 @@ pub fn clone_count() -> u64 {
 /// assert_eq!(t.len(), 6);
 /// assert_eq!(t.shape(), &[2, 3]);
 /// ```
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -8,7 +8,6 @@ use crate::quantized::QuantizedNetwork;
 use crate::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Deterministic per-epoch visit order of the training split.
@@ -61,7 +60,7 @@ pub fn cross_entropy_with_gradient(
 }
 
 /// Configuration of a training run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingConfig {
     /// Number of passes over the training set.
     pub epochs: usize,
@@ -82,7 +81,7 @@ impl Default for TrainingConfig {
 }
 
 /// Per-epoch training statistics.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrainingHistory {
     /// Average cross-entropy loss per epoch.
     pub epoch_losses: Vec<f32>,

@@ -21,10 +21,9 @@ use optima_circuit::array::ArrayConfig;
 use optima_core::model::suite::ModelSuite;
 use optima_core::sweep::par_map_sweep;
 use optima_math::units::{Seconds, Volts};
-use serde::{Deserialize, Serialize};
 
 /// One corner of the design space.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {
     /// Discharge time of the least-significant bit-line.
     pub tau0: Seconds,
@@ -45,7 +44,7 @@ impl DesignPoint {
 }
 
 /// One evaluated corner: the point plus its metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPointResult {
     /// The evaluated design point.
     pub point: DesignPoint,
@@ -54,7 +53,7 @@ pub struct DesignPointResult {
 }
 
 /// A rectangular design-space grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     /// τ0 grid values (seconds).
     pub tau0_values: Vec<f64>,

@@ -9,11 +9,10 @@
 
 use crate::dse::DesignPointResult;
 use crate::error::ImcError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which of the paper's named corners a selection refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CornerKind {
     /// The figure-of-merit optimum.
     Fom,
@@ -35,7 +34,7 @@ impl fmt::Display for CornerKind {
 }
 
 /// The three selected corners of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SelectedCorners {
     /// Corner maximising the figure of merit.
     pub fom: DesignPointResult,

@@ -10,11 +10,10 @@ use crate::error::ImcError;
 use crate::multiplier::{InSramMultiplier, OperatingPoint};
 use optima_math::stats;
 use optima_math::units::{FemtoJoules, Volts};
-use serde::{Deserialize, Serialize};
 
 /// Aggregate metrics of one multiplier design point over its full input
 /// space (16×16 for the paper's default geometry).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiplierMetrics {
     /// Average absolute error after quantisation, in product LSBs (`ϵ_mul`).
     pub epsilon_mul: f64,

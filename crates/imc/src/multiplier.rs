@@ -22,7 +22,6 @@ use optima_core::model::suite::ModelSuite;
 use optima_math::distributions::{standard_normal, Gaussian};
 use optima_math::units::{Celsius, FemtoJoules, Seconds, Volts};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Operand bits of the paper's default array geometry.
 ///
@@ -41,7 +40,7 @@ pub const PRODUCT_MAX: u16 = OPERAND_MAX * OPERAND_MAX;
 /// The first three fields are exactly the design-space parameters explored in
 /// the paper's Fig. 7 / Table I; the array geometry generalises the paper's
 /// fixed 16×4 INT4 macro.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiplierConfig {
     /// Discharge time of the least-significant bit-line (`τ0`).
     pub tau0: Seconds,
@@ -107,7 +106,7 @@ impl MultiplierConfig {
 }
 
 /// Result of one in-SRAM multiplication.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiplyOutcome {
     /// Digitised product (in product LSBs, ideally `a · d`).
     pub result: u16,
@@ -136,7 +135,7 @@ impl MultiplyOutcome {
 }
 
 /// Operating conditions of a multiplication.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Supply voltage.
     pub vdd: Volts,
@@ -1071,7 +1070,7 @@ impl AnalogOperandGrid {
 /// results up in a table is the standard way to make that tractable and is
 /// behaviourally identical because the multiplier is deterministic at a fixed
 /// operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiplierTable {
     operand_bits: u8,
     results: Vec<u16>,

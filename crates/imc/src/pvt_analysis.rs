@@ -29,11 +29,10 @@ use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::convert::Infallible;
 
 /// Configuration of the PVT analysis sweeps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PvtAnalysisConfig {
     /// Supply voltages of the voltage sweep (volts).
     pub supply_voltages: Vec<f64>,
@@ -76,7 +75,7 @@ impl PvtAnalysisConfig {
 }
 
 /// Error statistics binned by the expected multiplication result (Fig. 8 left).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ResultProfile {
     /// Expected results (0..=product_max) that occur in the input space, ascending.
     pub expected_results: Vec<u16>,
@@ -87,7 +86,7 @@ pub struct ResultProfile {
 }
 
 /// Average error as a function of one varied operating-condition axis (Fig. 8 right).
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConditionSweep {
     /// The swept condition values (volts or °C).
     pub condition_values: Vec<f64>,
@@ -96,7 +95,7 @@ pub struct ConditionSweep {
 }
 
 /// Mismatch Monte-Carlo error statistics over the full input space.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MismatchMonteCarlo {
     /// Average absolute error of each Monte-Carlo instance, in LSBs, in
     /// sample order (sample `i` uses the RNG stream derived for index `i`).
@@ -110,7 +109,7 @@ pub struct MismatchMonteCarlo {
 }
 
 /// Full Fig. 8 analysis result for one corner.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PvtAnalysis {
     /// Error/σ versus expected result at nominal conditions.
     pub result_profile: ResultProfile,

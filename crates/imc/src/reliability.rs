@@ -25,7 +25,6 @@
 use crate::error::ImcError;
 use optima_circuit::array::ArrayConfig;
 use optima_circuit::defects::{BitLineFault, CellDefect, DefectMap, LifetimePoint};
-use serde::{Deserialize, Serialize};
 
 /// A deterministic logical-to-physical column assignment.
 ///
@@ -33,7 +32,7 @@ use serde::{Deserialize, Serialize};
 /// swapped for clean spares in ascending order (lowest defective column gets
 /// the lowest clean spare), so the plan is a pure function of the defect map
 /// and the geometry.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ColumnRemap {
     /// `mapping[logical] = physical` over the word-bearing data columns.
     mapping: Vec<u16>,
@@ -114,7 +113,7 @@ impl ColumnRemap {
 }
 
 /// One array's complete reliability situation, attachable to the multiplier.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultState {
     array: ArrayConfig,
     map: DefectMap,

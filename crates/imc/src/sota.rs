@@ -6,10 +6,8 @@
 //! they are reproduced here as a static table used by the `fig1_sota`
 //! harness.
 
-use serde::{Deserialize, Serialize};
-
 /// One published design point of the Fig. 1 comparison.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SotaDesignPoint {
     /// Citation key in the paper's reference list.
     pub reference: &'static str,

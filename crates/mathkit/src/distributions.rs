@@ -6,7 +6,6 @@
 //! caller controls seeding (deterministic, reproducible experiments).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A normal (Gaussian) distribution parameterised by mean and standard deviation.
 ///
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let sample = dist.sample(&mut rng);
 /// assert!(sample.is_finite());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gaussian {
     mean: f64,
     std_dev: f64,

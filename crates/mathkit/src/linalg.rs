@@ -5,7 +5,6 @@
 //! implementation is more than adequate and keeps the dependency set minimal.
 
 use crate::error::MathError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -27,7 +26,7 @@ pub type Vector = Vec<f64>;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -13,7 +13,6 @@ use crate::error::MathError;
 use crate::linalg::Matrix;
 use crate::polynomial::Polynomial;
 use crate::stats;
-use serde::{Deserialize, Serialize};
 
 /// Fits a univariate polynomial of the given degree to `(xs, ys)` samples.
 ///
@@ -108,7 +107,7 @@ pub fn weighted_polynomial_fit(
 
 /// Result of fitting a full tensor-product polynomial surface
 /// `f(x, y) = Σ_{i,j} c_{ij} x^i y^j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceFit {
     degree_x: usize,
     degree_y: usize,
@@ -218,7 +217,7 @@ pub fn surface_fit(
 /// exactly this shape.  Because the product of the two factors is only
 /// determined up to a scalar, the second factor is normalised so that its
 /// largest-magnitude coefficient is `1.0`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeparableFit {
     factor_x: Polynomial,
     factor_y: Polynomial,
@@ -340,7 +339,7 @@ fn fit_factor(
 }
 
 /// Goodness-of-fit summary for a fitted model against reference data.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitQuality {
     /// Root-mean-square error of the residuals.
     pub rmse: f64,

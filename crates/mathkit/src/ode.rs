@@ -7,10 +7,9 @@
 //! (a) produce calibration data and (b) measure the speed-up against.
 
 use crate::error::MathError;
-use serde::{Deserialize, Serialize};
 
 /// A single `(time, state)` sample of an ODE solution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OdeSample {
     /// Time of the sample.
     pub time: f64,
@@ -19,7 +18,7 @@ pub struct OdeSample {
 }
 
 /// Full trajectory produced by an integrator.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct OdeSolution {
     /// Chronologically ordered samples, the first being the initial condition.
     pub samples: Vec<OdeSample>,

@@ -5,7 +5,6 @@
 //! those models store and evaluate.
 
 use crate::error::MathError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Neg, Sub};
 
@@ -24,7 +23,7 @@ use std::ops::{Add, Mul, Neg, Sub};
 /// assert_eq!(p.eval(2.0), 17.0);
 /// assert_eq!(p.degree(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polynomial {
     coeffs: Vec<f64>,
 }

@@ -2,8 +2,6 @@
 //! experiment harnesses (RMS modeling errors, error histograms, accuracy
 //! summaries).
 
-use serde::{Deserialize, Serialize};
-
 /// Arithmetic mean of a slice; returns `0.0` for empty input.
 pub fn mean(data: &[f64]) -> f64 {
     if data.is_empty() {
@@ -172,7 +170,7 @@ pub fn correlation(xs: &[f64], ys: &[f64]) -> f64 {
 /// assert_eq!(h.total_count(), 5);
 /// assert_eq!(h.counts()[0], 1); // only 1.0 falls into the bin [0, 2)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -256,7 +254,7 @@ impl Histogram {
 /// Running mean / variance accumulator (Welford's algorithm).
 ///
 /// Used by Monte Carlo loops that would otherwise have to keep every sample.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,

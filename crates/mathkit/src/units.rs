@@ -13,7 +13,6 @@
 //! assert!((in_mv.0 - 120.0).abs() < 1e-9);
 //! ```
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
@@ -22,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 macro_rules! unit_newtype {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(pub f64);
 
         impl $name {
