@@ -10,9 +10,13 @@
 //! reuses one packing.  The patch matrix is cached between forward and
 //! backward — the backward pass needs exactly the same patches for the
 //! weight gradient — so the layer never clones its input tensor.  The
-//! original six-deep scalar loop survives as
-//! [`crate::reference::conv2d_forward`] for the equivalence tests and
-//! benches.
+//! backward pass is two more products: the weight gradient `G·colsᵀ` on
+//! [`gemm_nt`] and the patch gradient `Wᵀ·G` on [`gemm_tn`], both
+//! register-tiled and AVX2-dispatched yet bit-identical to the per-element
+//! dot-product and row-update loops they replaced, followed by a
+//! `col2im_add` scatter back to image layout.  The original six-deep
+//! scalar loop survives as [`crate::reference::conv2d_forward`] for the
+//! equivalence tests and benches.
 
 use crate::error::DnnError;
 use crate::im2col::{col2im_add, im2col};

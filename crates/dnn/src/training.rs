@@ -2,9 +2,11 @@
 
 use crate::data::Dataset;
 use crate::error::DnnError;
+use crate::layers::Layer;
 use crate::multiplier::ProductTable;
 use crate::network::Network;
 use crate::quantized::QuantizedNetwork;
+use crate::scratch::KernelScratch;
 use crate::tensor::Tensor;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -94,6 +96,14 @@ impl TrainingHistory {
     pub fn final_loss(&self) -> Option<f32> {
         self.epoch_losses.last().copied()
     }
+
+    /// Appends one epoch's mean loss and accuracy over its per-sample losses.
+    fn record_epoch(&mut self, losses: &[f32], correct: usize) {
+        let samples = losses.len().max(1);
+        self.epoch_losses
+            .push(losses.iter().sum::<f32>() / samples as f32);
+        self.epoch_accuracies.push(correct as f64 / samples as f64);
+    }
 }
 
 /// Plain stochastic-gradient-descent trainer.
@@ -123,110 +133,11 @@ impl Trainer {
         network: &mut Network,
         dataset: &Dataset,
     ) -> Result<TrainingHistory, DnnError> {
-        self.run_epochs(network, dataset, |network, learning_rate| {
-            network.apply_gradients(learning_rate)
-        })
-    }
-
-    /// Trains only the final layer of `network` (transfer-learning head
-    /// retraining): gradients are propagated but only the last layer's
-    /// parameters are updated.
-    ///
-    /// # Errors
-    ///
-    /// Propagates forward/backward shape errors and invalid labels.
-    pub fn train_head_only(
-        &self,
-        network: &mut Network,
-        dataset: &Dataset,
-    ) -> Result<TrainingHistory, DnnError> {
-        self.run_epochs(network, dataset, |network, learning_rate| {
-            // Only the head learns; everything else keeps its weights.
-            let last = network.len() - 1;
-            for (index, layer) in network.layers_mut().iter_mut().enumerate() {
-                if index == last {
-                    layer.apply_gradients(learning_rate);
-                } else {
-                    layer.zero_gradients();
-                }
-            }
-        })
-    }
-
-    /// Noise-aware fine-tuning against a (possibly faulted) product table:
-    /// each epoch re-quantises the float network through `products`, computes
-    /// the loss from the *quantised* logits (so the head sees exactly the
-    /// errors the deployed faulted multiplier makes) and back-propagates it
-    /// through the float network with a straight-through estimator, updating
-    /// only the head.  This is the standard recovery step for in-memory
-    /// compute accelerators whose arrays degrade in the field: the backbone
-    /// keeps its pre-trained features, the head learns around the fault
-    /// pattern.
-    ///
-    /// # Errors
-    ///
-    /// Propagates quantisation, forward/backward shape and label errors.
-    pub fn fine_tune_quantized(
-        &self,
-        network: &mut Network,
-        dataset: &Dataset,
-        products: &Arc<dyn ProductTable>,
-    ) -> Result<TrainingHistory, DnnError> {
         let mut history = TrainingHistory::default();
         let mut learning_rate = self.config.learning_rate;
         let samples: Vec<(&Tensor, &usize)> = dataset.train_iter().collect();
         for epoch in 0..self.config.epochs {
-            // Re-quantise once per epoch so the quantised view tracks the
-            // head updates of the previous epoch.
-            let quantized = QuantizedNetwork::from_network(network, Arc::clone(products))?;
-            let mut losses = Vec::with_capacity(dataset.train_len());
-            let mut correct = 0usize;
-            for &index in &epoch_order(samples.len(), epoch) {
-                let (image, label) = samples[index];
-                let noisy_logits = quantized.forward(image)?;
-                if noisy_logits.argmax() == Some(*label) {
-                    correct += 1;
-                }
-                let (loss, grad) = cross_entropy_with_gradient(&noisy_logits, *label)?;
-                losses.push(loss);
-                // Straight-through estimator: the float forward populates the
-                // layer caches, the gradient of the noisy loss flows back
-                // through them, and only the head applies it.
-                let _ = network.forward(image)?;
-                network.backward(&grad)?;
-                let last = network.len() - 1;
-                for (layer_index, layer) in network.layers_mut().iter_mut().enumerate() {
-                    if layer_index == last {
-                        layer.apply_gradients(learning_rate);
-                    } else {
-                        layer.zero_gradients();
-                    }
-                }
-            }
-            history
-                .epoch_losses
-                .push(losses.iter().sum::<f32>() / losses.len().max(1) as f32);
-            history
-                .epoch_accuracies
-                .push(correct as f64 / dataset.train_len().max(1) as f64);
-            learning_rate *= self.config.learning_rate_decay;
-        }
-        Ok(history)
-    }
-
-    /// The shared SGD epoch loop; `apply` consumes the accumulated gradients
-    /// after each sample's backward pass.
-    fn run_epochs(
-        &self,
-        network: &mut Network,
-        dataset: &Dataset,
-        mut apply: impl FnMut(&mut Network, f32),
-    ) -> Result<TrainingHistory, DnnError> {
-        let mut history = TrainingHistory::default();
-        let mut learning_rate = self.config.learning_rate;
-        let samples: Vec<(&Tensor, &usize)> = dataset.train_iter().collect();
-        for epoch in 0..self.config.epochs {
-            let mut losses = Vec::with_capacity(dataset.train_len());
+            let mut losses = Vec::with_capacity(samples.len());
             let mut correct = 0usize;
             for &index in &epoch_order(samples.len(), epoch) {
                 let (image, label) = samples[index];
@@ -237,18 +148,137 @@ impl Trainer {
                 let (loss, grad) = cross_entropy_with_gradient(&logits, *label)?;
                 losses.push(loss);
                 network.backward(&grad)?;
-                apply(network, learning_rate);
+                network.apply_gradients(learning_rate);
             }
-            history
-                .epoch_losses
-                .push(losses.iter().sum::<f32>() / losses.len().max(1) as f32);
-            history
-                .epoch_accuracies
-                .push(correct as f64 / dataset.train_len().max(1) as f64);
+            history.record_epoch(&losses, correct);
             learning_rate *= self.config.learning_rate_decay;
         }
         Ok(history)
     }
+
+    /// Trains only the final layer of `network` (transfer-learning head
+    /// retraining); every other layer keeps its weights.
+    ///
+    /// The backbone (every layer before the head) is frozen, so each
+    /// training image's backbone output is a fixed function of the image.
+    /// It is computed once per image on the allocation-free inference path
+    /// ([`Layer::infer_into`], bit-identical to `forward`), and the shuffled
+    /// SGD epochs then run on the head alone.  The head's gradient depends
+    /// only on its input and the loss gradient, so the trained weights and
+    /// the returned history are bit-identical to running the full forward
+    /// and backward pass per sample and discarding the backbone gradients.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::InvalidConfiguration`] for an empty network, and
+    /// propagates forward/backward shape errors and invalid labels.
+    pub fn train_head_only(
+        &self,
+        network: &mut Network,
+        dataset: &Dataset,
+    ) -> Result<TrainingHistory, DnnError> {
+        self.train_head(network, dataset, None)
+    }
+
+    /// Noise-aware fine-tuning against a (possibly faulted) product table:
+    /// each epoch re-quantises the float network through `products`, computes
+    /// the loss from the *quantised* logits (so the head sees exactly the
+    /// errors the deployed faulted multiplier makes) and back-propagates it
+    /// into the float head with a straight-through estimator, updating only
+    /// the head.  This is the standard recovery step for in-memory compute
+    /// accelerators whose arrays degrade in the field: the backbone keeps its
+    /// pre-trained features, the head learns around the fault pattern.  Like
+    /// [`Trainer::train_head_only`], the head trains on float backbone
+    /// features computed once per image.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DnnError::InvalidConfiguration`] for an empty network, and
+    /// propagates quantisation, forward/backward shape and label errors.
+    pub fn fine_tune_quantized(
+        &self,
+        network: &mut Network,
+        dataset: &Dataset,
+        products: &Arc<dyn ProductTable>,
+    ) -> Result<TrainingHistory, DnnError> {
+        self.train_head(network, dataset, Some(products))
+    }
+
+    /// The head-only SGD loop behind [`Trainer::train_head_only`] and, with
+    /// `products`, [`Trainer::fine_tune_quantized`], whose loss comes from
+    /// the quantised network's logits instead of the float head's.
+    fn train_head(
+        &self,
+        network: &mut Network,
+        dataset: &Dataset,
+        products: Option<&Arc<dyn ProductTable>>,
+    ) -> Result<TrainingHistory, DnnError> {
+        let head = network
+            .len()
+            .checked_sub(1)
+            .ok_or_else(|| DnnError::InvalidConfiguration {
+                context: "cannot train the head of an empty network".to_string(),
+            })?;
+        let samples: Vec<(&Tensor, &usize)> = dataset.train_iter().collect();
+        let backbone = &mut network.layers_mut()[..head];
+        // A frozen backbone must not carry pending gradients into a later
+        // `apply_gradients`.
+        backbone.iter_mut().for_each(|layer| layer.zero_gradients());
+        let features = backbone_features(backbone, samples.iter().map(|&(image, _)| image))?;
+        let mut history = TrainingHistory::default();
+        let mut learning_rate = self.config.learning_rate;
+        for epoch in 0..self.config.epochs {
+            // Re-quantise once per epoch so the quantised view tracks the
+            // head updates of the previous epoch.
+            let quantized = products
+                .map(|products| QuantizedNetwork::from_network(network, Arc::clone(products)))
+                .transpose()?;
+            let mut losses = Vec::with_capacity(samples.len());
+            let mut correct = 0usize;
+            for &index in &epoch_order(samples.len(), epoch) {
+                let (image, label) = samples[index];
+                let head_layer = &mut network.layers_mut()[head];
+                // The float forward also caches the head input for backward.
+                let float_logits = head_layer.forward(&features[index])?;
+                let logits = match &quantized {
+                    Some(quantized) => quantized.forward(image)?,
+                    None => float_logits,
+                };
+                if logits.argmax() == Some(*label) {
+                    correct += 1;
+                }
+                let (loss, grad) = cross_entropy_with_gradient(&logits, *label)?;
+                losses.push(loss);
+                head_layer.backward(&grad)?;
+                head_layer.apply_gradients(learning_rate);
+            }
+            history.record_epoch(&losses, correct);
+            learning_rate *= self.config.learning_rate_decay;
+        }
+        Ok(history)
+    }
+}
+
+/// Runs every image through the `backbone` layers once on the scratch-arena
+/// inference path and returns the outputs in image order.
+fn backbone_features<'a>(
+    backbone: &[Box<dyn Layer>],
+    images: impl Iterator<Item = &'a Tensor>,
+) -> Result<Vec<Tensor>, DnnError> {
+    let mut scratch = KernelScratch::new();
+    let (mut current, mut next) = (Tensor::default(), Tensor::default());
+    images
+        .map(|image| {
+            current.copy_from(image);
+            for layer in backbone {
+                layer.infer_into(&current, &mut next, &mut scratch)?;
+                std::mem::swap(&mut current, &mut next);
+            }
+            let mut feature = Tensor::default();
+            feature.copy_from(&current);
+            Ok(feature)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -419,5 +449,34 @@ mod tests {
             .weights()
             .to_vec();
         assert_eq!(before, after, "backbone weights must stay frozen");
+    }
+
+    fn assert_empty_network_error(result: Result<TrainingHistory, DnnError>) {
+        match result {
+            Err(DnnError::InvalidConfiguration { context }) => {
+                assert_eq!(context, "cannot train the head of an empty network");
+            }
+            other => panic!("expected InvalidConfiguration, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn head_only_training_of_an_empty_network_is_a_typed_error() {
+        let trainer = Trainer::new(TrainingConfig::default());
+        let mut empty = Network::new(Vec::new());
+        assert_empty_network_error(trainer.train_head_only(&mut empty, &tiny_dataset()));
+    }
+
+    #[test]
+    fn fine_tuning_an_empty_network_is_a_typed_error() {
+        use crate::multiplier::ExactInt4Products;
+        let trainer = Trainer::new(TrainingConfig::default());
+        let mut empty = Network::new(Vec::new());
+        let products: Arc<dyn ProductTable> = Arc::new(ExactInt4Products);
+        assert_empty_network_error(trainer.fine_tune_quantized(
+            &mut empty,
+            &tiny_dataset(),
+            &products,
+        ));
     }
 }

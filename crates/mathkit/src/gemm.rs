@@ -1,4 +1,5 @@
-//! Cache-blocked `f32` matrix kernels for the DNN inference hot path.
+//! Cache-blocked and register-tiled `f32` matrix kernels for the DNN
+//! inference and training hot paths.
 //!
 //! The `optima_dnn` crate lowers its convolution (via im2col) and dense
 //! layers onto the small set of BLAS-like primitives in this module:
@@ -13,10 +14,26 @@
 //! so that every inner loop runs over *contiguous* sub-slices with the
 //! bounds checks hoisted out (one slice split per row, not one per element),
 //! which lets the compiler keep the loops branch-free and auto-vectorized.
-//! [`gemm`] and [`gemm_tn`] additionally block over the reduction dimension
-//! so that the active panel of `B` stays cache-resident; [`gemm_nt`]
-//! computes dot products of contiguous rows with a four-way unrolled
-//! accumulator.
+//! [`gemm`] additionally blocks over the reduction dimension so that the
+//! active panel of `B` stays cache-resident.
+//!
+//! # Register-tiled backward kernels
+//!
+//! The two convolution-backward kernels run on register tiles and dispatch
+//! to AVX2 clones like the packed panels below, while each output element
+//! keeps exactly the arithmetic of the simple loop it replaced:
+//!
+//! * [`gemm_nt`] computes 4×4 tiles of `(A row, B row)` dot products.  An
+//!   8-lane accumulator holds the four-way unrolled partial sums of two
+//!   adjacent outputs, combined as `(s0 + s1) + (s2 + s3) + tail` — the
+//!   per-element `dot` product, which edge tiles still call.
+//! * [`gemm_tn`] keeps a 4×16 tile of `C` in registers, applies every `k`
+//!   in ascending order and stores it once, so each element sees the same
+//!   rounded multiply-adds as the per-row `axpy` loop that edge rows and
+//!   columns still run.
+//!
+//! Neither needs packing or scratch.  The simple loops live on as the
+//! bit-identity oracles of the unit tests, over every `m, k, n` up to 19.
 //!
 //! # Packed-panel GEMM
 //!
@@ -90,9 +107,9 @@ fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     }
 }
 
-/// Dot product with four independent accumulators (the inner loop of the
-/// `NT` kernel); the unroll breaks the serial dependency chain so the
-/// compiler can keep several FMAs in flight.
+/// Dot product with four independent accumulators (the per-element
+/// arithmetic of the `NT` kernel); the unroll breaks the serial dependency
+/// chain so the compiler can keep several multiply-adds in flight.
 #[inline]
 fn dot(x: &[f32], y: &[f32]) -> f32 {
     let n = x.len().min(y.len());
@@ -145,8 +162,10 @@ pub fn gemm(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
 
 /// `C += A·Bᵀ` for row-major `A [m×k]`, `B [n×k]`, `C [m×n]`.
 ///
-/// Both operands are traversed along their contiguous rows; each output
-/// element is one unrolled [`dot`] product.
+/// Both operands are traversed along their contiguous rows.  Each output
+/// element gets exactly the arithmetic of one unrolled [`dot`] product,
+/// computed four `A` rows × four `B` rows at a time (see
+/// `gemm_nt_body`); edge tiles call [`dot`] directly.
 ///
 /// # Panics
 ///
@@ -158,19 +177,21 @@ pub fn gemm_nt(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    for i in 0..m {
-        let a_row = &a[i * k..i * k + k];
-        let c_row = &mut c[i * n..(i + 1) * n];
-        for (j, c_ij) in c_row.iter_mut().enumerate() {
-            *c_ij += dot(a_row, &b[j * k..j * k + k]);
-        }
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 clone only runs after the (cached) runtime
+        // feature check above confirmed the CPU supports it.
+        return unsafe { gemm_nt_avx2(m, k, n, a, b, c) };
     }
+    gemm_nt_body(m, k, n, a, b, c);
 }
 
 /// `C += Aᵀ·B` for row-major `A [k×m]`, `B [k×n]`, `C [m×n]`.
 ///
-/// Iterates the reduction dimension outermost so `A` and `B` are both read
-/// along contiguous rows; the inner loop is an [`axpy`] into rows of `C`.
+/// Iterates the reduction dimension innermost over a 4×16 register tile of
+/// `C` (see `gemm_tn_body`), so every element sees the same ascending-`k`
+/// sequence of rounded multiply-adds as an [`axpy`] loop over the rows of
+/// `A` and `B`; edge rows and columns run that loop directly.
 ///
 /// # Panics
 ///
@@ -182,16 +203,13 @@ pub fn gemm_tn(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]
     if m == 0 || k == 0 || n == 0 {
         return;
     }
-    for i0 in (0..m).step_by(BLOCK_M) {
-        let i1 = (i0 + BLOCK_M).min(m);
-        for kk in 0..k {
-            let a_row = &a[kk * m..kk * m + m];
-            let b_row = &b[kk * n..kk * n + n];
-            for i in i0..i1 {
-                axpy(a_row[i], b_row, &mut c[i * n..(i + 1) * n]);
-            }
-        }
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 clone only runs after the (cached) runtime
+        // feature check above confirmed the CPU supports it.
+        return unsafe { gemm_tn_avx2(m, k, n, a, b, c) };
     }
+    gemm_tn_body(m, k, n, a, b, c);
 }
 
 /// `y += A·x` for row-major `A [m×k]`, `x [k]`, `y [m]`.
@@ -375,13 +393,13 @@ impl PackedGemm {
     // optima-lint: end-hot
 }
 
-// The two panel kernels below exist in two compilations: the portable body
-// and an AVX2 clone selected by a cached runtime feature check.  With AVX
-// every `[f32; 8]` lane row is a single ymm register (the 8×8 tile is eight
-// accumulator registers); the baseline build splits each row across two SSE
-// registers and spills.  Both clones run the identical instruction *order*
-// — plain multiply and add, no FMA contraction — so their results are
-// bit-identical to each other and to the lane-ordered scalar models.
+// The register-tile kernels below exist in two compilations: the portable
+// body and an AVX2 clone selected by a cached runtime feature check.  With
+// AVX every `[f32; 8]` lane row is a single ymm register (the 8×8 tile is
+// eight accumulator registers); the baseline build splits each row across
+// two SSE registers and spills.  Both clones run the identical instruction
+// *order* — plain multiply and add, no FMA contraction — so their results
+// are bit-identical to each other and to the scalar models and oracles.
 // optima-lint: hot
 
 /// The 8×8 register-tile micro-kernel over full packed panels, with masked
@@ -454,6 +472,119 @@ fn gemv_panels_body(m: usize, k: usize, a_panels: &[f32], x: &[f32], y: &mut [f3
             *y_val += a_val;
         }
     }
+}
+
+/// `gemm_nt` over 4×4 tiles of (`A` row, `B` row) pairs.  Each 8-lane
+/// accumulator holds the four [`dot`] partial sums of two adjacent outputs
+/// (lanes 0–3 for column `j`, lanes 4–7 for `j + 1`); the `k % 4` tail and
+/// the final `(s0 + s1) + (s2 + s3) + tail` combine follow [`dot`] exactly.
+/// Rows and columns outside the full tiles call [`dot`] per element.
+#[inline(always)]
+fn gemm_nt_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    const TILE: usize = 4;
+    let (m_full, n_full, k_full) = (m - m % TILE, n - n % TILE, k - k % 4);
+    for i0 in (0..m_full).step_by(TILE) {
+        let a_rows: [&[f32]; TILE] = std::array::from_fn(|r| &a[(i0 + r) * k..(i0 + r + 1) * k]);
+        for j0 in (0..n_full).step_by(TILE) {
+            let b_rows: [&[f32]; TILE] =
+                std::array::from_fn(|q| &b[(j0 + q) * k..(j0 + q + 1) * k]);
+            // acc[r][p]: A row i0 + r against B rows j0 + 2p and j0 + 2p + 1.
+            let mut acc = [[[0.0f32; LANES]; 2]; TILE];
+            for kk in (0..k_full).step_by(4) {
+                let mut y = [[0.0f32; LANES]; 2];
+                for (p, y_pair) in y.iter_mut().enumerate() {
+                    y_pair[..4].copy_from_slice(&b_rows[2 * p][kk..kk + 4]);
+                    y_pair[4..].copy_from_slice(&b_rows[2 * p + 1][kk..kk + 4]);
+                }
+                for (acc_row, a_row) in acc.iter_mut().zip(a_rows) {
+                    let mut x = [0.0f32; LANES];
+                    x[..4].copy_from_slice(&a_row[kk..kk + 4]);
+                    x[4..].copy_from_slice(&a_row[kk..kk + 4]);
+                    for (acc_pair, y_pair) in acc_row.iter_mut().zip(y.iter()) {
+                        for ((lane, &x_val), &y_val) in
+                            acc_pair.iter_mut().zip(x.iter()).zip(y_pair.iter())
+                        {
+                            *lane += x_val * y_val;
+                        }
+                    }
+                }
+            }
+            for (r, (acc_row, a_row)) in acc.iter().zip(a_rows).enumerate() {
+                let c_row = &mut c[(i0 + r) * n + j0..(i0 + r) * n + j0 + TILE];
+                for (q, c_val) in c_row.iter_mut().enumerate() {
+                    let s = &acc_row[q / 2][(q % 2) * 4..(q % 2) * 4 + 4];
+                    let mut tail = 0.0f32;
+                    for (x_val, y_val) in a_row[k_full..].iter().zip(&b_rows[q][k_full..]) {
+                        tail += x_val * y_val;
+                    }
+                    *c_val += (s[0] + s[1]) + (s[2] + s[3]) + tail;
+                }
+            }
+        }
+    }
+    for i in 0..m {
+        let a_row = &a[i * k..(i + 1) * k];
+        let j_start = if i < m_full { n_full } else { 0 };
+        for j in j_start..n {
+            c[i * n + j] += dot(a_row, &b[j * k..(j + 1) * k]);
+        }
+    }
+}
+
+/// `gemm_tn` over 4×16 tiles of `C`: each tile is loaded once, takes every
+/// `k` in ascending order (the per-element order of an [`axpy`] loop) and
+/// is stored once.  Rows and columns outside the full tiles run the
+/// [`axpy`] loop itself.
+#[inline(always)]
+fn gemm_tn_body(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    const ROWS: usize = 4;
+    const COLS: usize = 2 * LANES;
+    let (m_full, n_full) = (m - m % ROWS, n - n % COLS);
+    for i0 in (0..m_full).step_by(ROWS) {
+        for j0 in (0..n_full).step_by(COLS) {
+            let mut tile = [[0.0f32; COLS]; ROWS];
+            for (r, row) in tile.iter_mut().enumerate() {
+                row.copy_from_slice(&c[(i0 + r) * n + j0..(i0 + r) * n + j0 + COLS]);
+            }
+            for kk in 0..k {
+                let a_col = &a[kk * m + i0..kk * m + i0 + ROWS];
+                let b_seg = &b[kk * n + j0..kk * n + j0 + COLS];
+                for (row, &alpha) in tile.iter_mut().zip(a_col) {
+                    for (value, &b_val) in row.iter_mut().zip(b_seg) {
+                        *value += alpha * b_val;
+                    }
+                }
+            }
+            for (r, row) in tile.iter().enumerate() {
+                c[(i0 + r) * n + j0..(i0 + r) * n + j0 + COLS].copy_from_slice(row);
+            }
+        }
+    }
+    for i in 0..m {
+        let j_start = if i < m_full { n_full } else { 0 };
+        let c_tail = &mut c[i * n + j_start..(i + 1) * n];
+        for kk in 0..k {
+            axpy(a[kk * m + i], &b[kk * n + j_start..(kk + 1) * n], c_tail);
+        }
+    }
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_nt_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_nt_body(m, k, n, a, b, c);
+}
+
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn gemm_tn_avx2(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+    gemm_tn_body(m, k, n, a, b, c);
 }
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -593,6 +724,113 @@ mod tests {
             assert!(
                 (a - e).abs() <= tolerance * e.abs().max(1.0),
                 "element {i}: {a} vs {e}"
+            );
+        }
+    }
+
+    /// The pre-tiling `gemm_nt`: one [`dot`] per output element.  The
+    /// bit-identity oracle of the register-tiled kernel.
+    fn gemm_nt_oracle(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i in 0..m {
+            let a_row = &a[i * k..i * k + k];
+            let c_row = &mut c[i * n..(i + 1) * n];
+            for (j, c_ij) in c_row.iter_mut().enumerate() {
+                *c_ij += dot(a_row, &b[j * k..j * k + k]);
+            }
+        }
+    }
+
+    /// The pre-tiling `gemm_tn`: [`axpy`] over rows of `C`, blocked over `m`
+    /// with the reduction outermost.  The bit-identity oracle of the
+    /// register-tiled kernel.
+    fn gemm_tn_oracle(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
+        for i0 in (0..m).step_by(BLOCK_M) {
+            let i1 = (i0 + BLOCK_M).min(m);
+            for kk in 0..k {
+                let a_row = &a[kk * m..kk * m + m];
+                let b_row = &b[kk * n..kk * n + n];
+                for i in i0..i1 {
+                    axpy(a_row[i], b_row, &mut c[i * n..(i + 1) * n]);
+                }
+            }
+        }
+    }
+
+    type Kernel = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+    /// Runs `kernel` and `oracle` on the same operands, accumulating into
+    /// the same random `C`, and compares the result bits.
+    fn assert_bit_identical(
+        name: &str,
+        (kernel, oracle): (Kernel, Kernel),
+        (m, k, n): (usize, usize, usize),
+        (a, b): (&[f32], &[f32]),
+        seed: u64,
+    ) {
+        let seed_c = fill(seed, m * n);
+        let mut actual = seed_c.clone();
+        kernel(m, k, n, a, b, &mut actual);
+        let mut expected = seed_c;
+        oracle(m, k, n, a, b, &mut expected);
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&actual), bits(&expected), "{name} {m}x{k}x{n}");
+    }
+
+    /// [`assert_bit_identical`] for every `m, k, n` in `0..=19`: row and
+    /// column tails, odd `n` and every `k % 4`.
+    fn assert_bit_identical_over_small_shapes(name: &str, kernels: (Kernel, Kernel)) {
+        for m in 0..=19 {
+            for k in 0..=19 {
+                for n in 0..=19 {
+                    let seed = (m * 400 + k * 20 + n) as u64;
+                    let a = fill(seed, m * k);
+                    let b = fill(seed + 10_000, k * n);
+                    assert_bit_identical(name, kernels, (m, k, n), (&a, &b), seed + 20_000);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gemm_nt_is_bit_identical_to_the_dot_oracle_on_both_arms() {
+        assert_bit_identical_over_small_shapes("dispatched nt", (gemm_nt, gemm_nt_oracle));
+        assert_bit_identical_over_small_shapes("portable nt", (gemm_nt_body, gemm_nt_oracle));
+    }
+
+    #[test]
+    fn gemm_tn_is_bit_identical_to_the_axpy_oracle_on_both_arms() {
+        assert_bit_identical_over_small_shapes("dispatched tn", (gemm_tn, gemm_tn_oracle));
+        assert_bit_identical_over_small_shapes("portable tn", (gemm_tn_body, gemm_tn_oracle));
+    }
+
+    #[test]
+    fn streaming_kernels_match_their_oracles_at_conv_backward_shapes() {
+        // (out_c, h·w, in_c·9) of the 16×16 VGG/ResNet-style convolutions.
+        // Patches above 64 rows span several of the `gemm_tn` oracle's
+        // BLOCK_M row blocks, and 27 leaves a row tail.
+        for (case, (out_c, hw, patch)) in [(8, 256, 27), (8, 256, 72), (16, 64, 144), (12, 64, 108)]
+            .into_iter()
+            .enumerate()
+        {
+            let seed = 1_000 * case as u64;
+            let grad = fill(seed, out_c * hw);
+            let cols = fill(seed + 1, patch * hw);
+            let weights = fill(seed + 2, out_c * patch);
+            let nt: (Kernel, Kernel) = (gemm_nt, gemm_nt_oracle);
+            assert_bit_identical(
+                "weight gradient",
+                nt,
+                (out_c, hw, patch),
+                (&grad, &cols),
+                seed,
+            );
+            let tn: (Kernel, Kernel) = (gemm_tn, gemm_tn_oracle);
+            assert_bit_identical(
+                "input gradient",
+                tn,
+                (patch, out_c, hw),
+                (&weights, &grad),
+                seed,
             );
         }
     }
