@@ -317,7 +317,7 @@ fn main() {
             .clone();
         assert_eq!(
             reference_logits, lut_logits,
-            "quantized gather output must be bit-identical to the reference"
+            "quantized LUT output must be bit-identical to the reference"
         );
         let baseline_seconds = time_iterations(iterations, || {
             black_box(dyn_dispatch.forward(&image).expect("shapes fit"));
@@ -328,7 +328,7 @@ fn main() {
         workloads.push(Workload {
             name: "quantized_forward_3ch_16x16_int4",
             baseline: "dyn-dispatch",
-            optimized: "lut-gather-scratch",
+            optimized: "lut-shuffle-scratch",
             baseline_seconds,
             optimized_seconds,
             iterations,
@@ -401,7 +401,7 @@ fn main() {
         workloads.push(Workload {
             name: "quantized_dataset_eval_16x16_int4",
             baseline: "dyn-dispatch-serial",
-            optimized: "lut-gather-parallel-scratch",
+            optimized: "lut-shuffle-parallel-scratch",
             baseline_seconds,
             optimized_seconds,
             iterations: passes * dataset.test_len(),

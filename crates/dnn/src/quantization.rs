@@ -134,8 +134,41 @@ pub fn quantize_activations_bits_into(
 ) -> QuantizationParams {
     let params = QuantizationParams::unsigned_for_bits(activations, bits);
     out.clear();
-    out.extend(activations.iter().map(|&a| params.quantize_unsigned(a)));
+    out.resize(activations.len(), 0);
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        // SAFETY: the AVX2 clone only runs after the (cached) runtime
+        // feature check above confirmed the CPU supports it.
+        unsafe { quantize_unsigned_avx2(activations, params, out) };
+        return params;
+    }
+    quantize_unsigned_body(activations, params, out);
     params
+}
+
+/// [`QuantizationParams::quantize_unsigned`] over a slice, the loop shared
+/// by both dispatch arms of [`quantize_activations_bits_into`].
+#[inline(always)]
+fn quantize_unsigned_body(activations: &[f32], params: QuantizationParams, out: &mut [u8]) {
+    // optima-lint: hot
+    for (code, &activation) in out.iter_mut().zip(activations.iter()) {
+        *code = params.quantize_unsigned(activation);
+    }
+    // optima-lint: end-hot
+}
+
+/// AVX2 clone of [`quantize_unsigned_body`].  Baseline x86-64 lowers
+/// `f32::round` to a `roundf` call per element; with SSE4.1 and later LLVM
+/// inlines it with identical semantics (half away from zero), so the loop
+/// vectorizes and every code is bit-identical to the portable body.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn quantize_unsigned_avx2(activations: &[f32], params: QuantizationParams, out: &mut [u8]) {
+    quantize_unsigned_body(activations, params, out);
 }
 
 #[cfg(test)]
@@ -204,6 +237,51 @@ mod tests {
         let (ab, apb) = quantize_activations_bits(&data, 4);
         assert_eq!(a4, ab);
         assert_eq!(ap4.scale.to_bits(), apb.scale.to_bits());
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_quantizer_is_bit_identical_to_the_portable_body() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let subnormal = f32::from_bits(1);
+        for bits in 1..=8u8 {
+            // Power-of-two scales make `(k + 0.5)·scale / scale` an exact
+            // tie; the others probe the rounding near inexact quotients.
+            for scale in [0.25f32, 1.0, 0.0078125, 0.1, 1.0 / 3.0] {
+                let params = QuantizationParams { scale, bits };
+                let mut values = vec![
+                    0.0,
+                    -0.0,
+                    subnormal,
+                    -subnormal,
+                    f32::MIN_POSITIVE.next_down(),
+                    f32::INFINITY,
+                    f32::NEG_INFINITY,
+                    f32::NAN,
+                    -f32::NAN,
+                    1e30,
+                    -1e30,
+                ];
+                for k in 0..=unsigned_max(bits) as u32 + 1 {
+                    let tie = (k as f32 + 0.5) * scale;
+                    values.extend([tie.next_down(), tie, tie.next_up(), -tie]);
+                }
+                // Four copies and every shift move each value through each
+                // vector lane and through the scalar remainder.
+                let inputs = values.repeat(4);
+                for shift in 0..32 {
+                    let inputs = &inputs[shift..];
+                    let mut portable = vec![0u8; inputs.len()];
+                    let mut avx2 = vec![0u8; inputs.len()];
+                    quantize_unsigned_body(inputs, params, &mut portable);
+                    // SAFETY: AVX2 support was checked at the top.
+                    unsafe { quantize_unsigned_avx2(inputs, params, &mut avx2) };
+                    assert_eq!(portable, avx2, "bits {bits}, scale {scale}, shift {shift}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,6 +21,29 @@
 //! the original per-product dynamic-dispatch loop instead.  Both paths
 //! accumulate in the integer domain, so their outputs are **bit-identical**
 //! — pinned by the equivalence tests.
+//!
+//! # Convolution kernels
+//!
+//! The portable sweep gathers each pixel's LUT entry with a scalar load,
+//! eight lane accumulators at a time.  On AVX2 hardware the dispatched clone
+//! replaces the loads with one of two register kernels:
+//!
+//! * **Byte shuffle (INT4).**  When every LUT entry fits a byte in
+//!   magnitude and each weight code's row has one sign — true of every
+//!   snapshot of an in-SRAM INT4 table, whose 8-bit ADC codes top out at
+//!   255 — a code's 16 magnitudes sit in one register and a `vpshufb` looks
+//!   up 32 pixels at once.  `vpmaddubsw` against the code's ±1 multipliers
+//!   applies the sign and widens into `i16` lanes, which are flushed into
+//!   `i32` every 128 patch rows, before they could overflow.  The 16-byte
+//!   rows are built once per convolution call, on the stack.
+//! * **Gather.**  Every other table (INT8, or byte-overflowing INT4) looks
+//!   up eight pixels per `vpgatherdd`; it also sweeps the pixels the
+//!   shuffle's 32-pixel blocks leave over.
+//!
+//! Both sum the same LUT values as the portable body in `i32`, and integer
+//! addition is associative, so every arm is bit-identical to it; the
+//! kernel oracle tests compare them across widths, depths and saturating
+//! tables.
 
 use crate::error::DnnError;
 use crate::im2col::im2col;
@@ -244,63 +267,174 @@ unsafe fn sweep2_gather(
     (acc0, acc1)
 }
 
-/// One 16-pixel row sweep specialised to INT4 (`stride == 16`): the whole
-/// 16-entry LUT sub-table of a weight code fits in two YMM registers, so
-/// each lookup is a register permute (`vpermd` selects on the index's low
-/// three bits, a compare-and-blend on bit 3 picks the upper half) instead
-/// of a memory gather.  Lookups beyond index 15 reduce to `index & 15`,
-/// matching the masked gather path.
+/// Rows one `i16` shuffle accumulator may sum before it is flushed into
+/// `i32`: 128 × 255 = 32 640 stays below `i16::MAX`.
+const SHUFFLE_FLUSH_ROWS: usize = 128;
+
+/// Per-code lookup rows of a 4-bit LUT in the form `vpshufb` consumes,
+/// built once per convolution call on the stack.
+///
+/// A code's 16 products share one sign (the weight's), so each row is
+/// stored as 16 unsigned magnitude bytes (broadcast to both 128-bit lanes)
+/// plus the sign, spread as `vpmaddubsw` multipliers: `even` holds the sign
+/// in even bytes and zero in odd ones, `odd` the reverse.  One multiply-add
+/// then widens the even (or odd) pixels' magnitudes to signed `i16` lanes
+/// without saturating, since each pair holds one `±1 × m` term, `m ≤ 255`.
+#[cfg(target_arch = "x86_64")]
+struct ShuffleRows {
+    magnitudes: [std::arch::x86_64::__m256i; 16],
+    even: [std::arch::x86_64::__m256i; 16],
+    odd: [std::arch::x86_64::__m256i; 16],
+}
+
+#[cfg(target_arch = "x86_64")]
+impl ShuffleRows {
+    /// Splits a 256-entry INT4 LUT into shuffle rows, or `None` when the
+    /// LUT is not INT4, an entry exceeds 255 in magnitude or a code's row
+    /// mixes signs — such tables take the gather sweep.  Snapshot LUTs never mix signs, and
+    /// every in-SRAM INT4 table's ADC codes top out at 255.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn new(lut: &[i32]) -> Option<Self> {
+        use std::arch::x86_64::*;
+        if lut.len() != 256 {
+            return None;
+        }
+        let zero = _mm256_setzero_si256();
+        let mut rows = ShuffleRows {
+            magnitudes: [zero; 16],
+            even: [zero; 16],
+            odd: [zero; 16],
+        };
+        for (code, row) in lut.chunks_exact(16).enumerate() {
+            let negative = row.iter().any(|&v| v < 0);
+            if negative && row.iter().any(|&v| v > 0) {
+                return None;
+            }
+            let mut bytes = [0u8; 16];
+            for (byte, &v) in bytes.iter_mut().zip(row.iter()) {
+                *byte = u8::try_from(v.unsigned_abs()).ok()?;
+            }
+            // SAFETY: `bytes` is 16 bytes long, the width of the load.
+            let magnitude = _mm_loadu_si128(bytes.as_ptr() as *const __m128i);
+            rows.magnitudes[code] = _mm256_broadcastsi128_si256(magnitude);
+            // `vpmaddubsw` reads the multipliers as signed bytes: the sign
+            // (0x01, or 0xff for −1) sits in each little-endian `i16`'s low
+            // byte for the even pixels and in its high byte for the odd.
+            let sign = if negative { 0xff } else { 0x01 };
+            rows.even[code] = _mm256_set1_epi16(i16::from_le_bytes([sign, 0]));
+            rows.odd[code] = _mm256_set1_epi16(i16::from_le_bytes([0, sign]));
+        }
+        Some(rows)
+    }
+}
+
+/// One row sweep over `32 × HALVES` pixels with `vpshufb` lookups: per
+/// patch row, each 32 activation codes index the weight code's magnitude
+/// row held in a register, and two `vpmaddubsw` against the code's signed
+/// even/odd multipliers add the signed products into `i16` lanes (even and
+/// odd pixels apart).  Every [`SHUFFLE_FLUSH_ROWS`] rows the lanes are
+/// interleaved back into pixel order and flushed into `i32`.  Activation
+/// codes are masked to their low nibble, matching the masked gather.
+///
+/// Returns the `i32` sums in pixel order, eight pixels per vector.
+///
+/// # Safety
+///
+/// The CPU must support AVX2, and `x0 + 32 * HALVES <= hw`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 #[inline]
-unsafe fn sweep2_permute16(
+unsafe fn sweep_shuffle<const HALVES: usize>(
     codes: &[u8],
     cols: &[u8],
     hw: usize,
     x0: usize,
-    lut: &[i32],
-) -> (std::arch::x86_64::__m256i, std::arch::x86_64::__m256i) {
+    rows: &ShuffleRows,
+) -> [[std::arch::x86_64::__m256i; 4]; HALVES] {
     use std::arch::x86_64::*;
-    const STRIDE: usize = 16;
-    let seven = _mm256_set1_epi32(7);
-    let mut acc0 = _mm256_setzero_si256();
-    let mut acc1 = _mm256_setzero_si256();
-    for (&code, row) in codes.iter().zip(cols.chunks_exact(hw)) {
-        // SAFETY: the masked code keeps the 16-entry sub-table inside
-        // `lut.len() == 256`, and the caller guarantees
-        // `x0 + 16 <= hw == row.len()` for the two activation loads.
-        let sub = lut.as_ptr().add((code as usize & (STRIDE - 1)) * STRIDE);
-        let lo = _mm256_loadu_si256(sub as *const __m256i);
-        let hi = _mm256_loadu_si256(sub.add(8) as *const __m256i);
-        let idx0 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(row.as_ptr().add(x0) as *const __m128i));
-        let idx1 = _mm256_cvtepu8_epi32(_mm_loadl_epi64(
-            row.as_ptr().add(x0 + GATHER_LANES) as *const __m128i
-        ));
-        let pick_hi0 = _mm256_cmpgt_epi32(idx0, seven);
-        let pick_hi1 = _mm256_cmpgt_epi32(idx1, seven);
-        let gathered0 = _mm256_blendv_epi8(
-            _mm256_permutevar8x32_epi32(lo, idx0),
-            _mm256_permutevar8x32_epi32(hi, idx0),
-            pick_hi0,
-        );
-        let gathered1 = _mm256_blendv_epi8(
-            _mm256_permutevar8x32_epi32(lo, idx1),
-            _mm256_permutevar8x32_epi32(hi, idx1),
-            pick_hi1,
-        );
-        acc0 = _mm256_add_epi32(acc0, gathered0);
-        acc1 = _mm256_add_epi32(acc1, gathered1);
+    let nibble = _mm256_set1_epi8(0x0f);
+    let mut totals = [[_mm256_setzero_si256(); 4]; HALVES];
+    // optima-lint: hot
+    for (chunk_codes, chunk_cols) in codes
+        .chunks(SHUFFLE_FLUSH_ROWS)
+        .zip(cols.chunks(SHUFFLE_FLUSH_ROWS * hw))
+    {
+        let mut acc = [[_mm256_setzero_si256(); 2]; HALVES];
+        for (&code, row) in chunk_codes.iter().zip(chunk_cols.chunks_exact(hw)) {
+            let code = code as usize & 15;
+            let magnitude = rows.magnitudes[code];
+            let even = rows.even[code];
+            let odd = rows.odd[code];
+            for (half, acc) in acc.iter_mut().enumerate() {
+                // SAFETY: the caller guarantees `x0 + 32 * HALVES <= hw ==
+                // row.len()`, so the 32-byte load sits inside `row`.
+                let bytes = _mm256_loadu_si256(row.as_ptr().add(x0 + 32 * half) as *const __m256i);
+                let products = _mm256_shuffle_epi8(magnitude, _mm256_and_si256(bytes, nibble));
+                acc[0] = _mm256_add_epi16(acc[0], _mm256_maddubs_epi16(products, even));
+                acc[1] = _mm256_add_epi16(acc[1], _mm256_maddubs_epi16(products, odd));
+            }
+        }
+        for (total, acc) in totals.iter_mut().zip(acc.iter()) {
+            // Per 128-bit lane the unpacks interleave even and odd pixels:
+            // `low` holds pixels 0–7 | 16–23, `high` 8–15 | 24–31.
+            let low = _mm256_unpacklo_epi16(acc[0], acc[1]);
+            let high = _mm256_unpackhi_epi16(acc[0], acc[1]);
+            let widened = [
+                _mm256_cvtepi16_epi32(_mm256_castsi256_si128(low)),
+                _mm256_cvtepi16_epi32(_mm256_castsi256_si128(high)),
+                _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(low)),
+                _mm256_cvtepi16_epi32(_mm256_extracti128_si256::<1>(high)),
+            ];
+            for (total, widened) in total.iter_mut().zip(widened) {
+                *total = _mm256_add_epi32(*total, widened);
+            }
+        }
     }
-    (acc0, acc1)
+    // optima-lint: end-hot
+    totals
 }
 
-/// AVX2 clone of the convolution LUT sweep: each 8-pixel block's LUT
-/// lookups run as one `vpgatherdd` instead of eight scalar loads, with two
-/// independent 8-lane accumulators per row sweep to hide gather latency.
-/// The gathered values and the per-pixel accumulation order (ascending
-/// rows, wrapping `i32` adds) are unchanged, so the clone is bit-identical
-/// to the portable body.  The `i64` wide-accumulator case has no packed
-/// gather; it falls through to the portable body.
+/// Writes one shuffle sweep's pixel-ordered `i32` sums to the output row.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[inline]
+unsafe fn store_shuffle<const HALVES: usize>(
+    totals: &[[std::arch::x86_64::__m256i; 4]; HALVES],
+    out: &mut [f32],
+    scale: f32,
+    bias: f32,
+) {
+    use std::arch::x86_64::*;
+    for (vectors, out_half) in totals.iter().zip(out.chunks_exact_mut(4 * GATHER_LANES)) {
+        let mut lanes = [0i32; 4 * GATHER_LANES];
+        for (vector, dst) in vectors.iter().zip(lanes.chunks_exact_mut(GATHER_LANES)) {
+            // SAFETY: `dst` holds exactly eight `i32`s, one 256-bit store.
+            _mm256_storeu_si256(dst.as_mut_ptr() as *mut __m256i, *vector);
+        }
+        for (out, &lane) in out_half.iter_mut().zip(lanes.iter()) {
+            *out = lane as f32 * scale + bias;
+        }
+    }
+}
+
+/// AVX2 clone of the convolution LUT sweep.  INT4 tables whose entries fit
+/// a byte ([`ShuffleRows`]) sweep 64 and then 32 pixels at a time with
+/// register `vpshufb` lookups; every other table, and the pixels left over,
+/// take `vpgatherdd` gathers 16 and then 8 pixels at a time, and the last
+/// `hw % 8` pixels a scalar loop.  The looked-up values and the integer
+/// sums are unchanged — integer addition is associative, `i16` lanes are
+/// flushed before they can overflow and `i32` lanes cannot ([`lut_fits_i32`])
+/// — so the clone is bit-identical to the portable body.  The `i64`
+/// wide-accumulator case has no packed path; it falls through to the
+/// portable body.
 #[cfg(target_arch = "x86_64")]
 #[allow(clippy::too_many_arguments)]
 #[target_feature(enable = "avx2")]
@@ -322,7 +456,7 @@ unsafe fn conv_lut_core_avx2(
         return conv_lut_core_body(conv, cols, hw, lut, lut_max_abs, bits, scale, out);
     }
     let zero_code = (stride / 2) as u8;
-    let int4 = stride == 16;
+    let shuffle_rows = ShuffleRows::new(lut);
     // The mask is a no-op on well-formed inputs (the quantizer emits codes
     // `< stride` on both operands); it bounds every gather inside `lut`
     // regardless, which is what makes the raw-pointer gathers sound.
@@ -332,15 +466,25 @@ unsafe fn conv_lut_core_avx2(
         let codes = &conv.codes[oc * patch..(oc + 1) * patch];
         let bias = conv.bias[oc];
         let mut x0 = 0usize;
+        if let Some(rows) = &shuffle_rows {
+            // SAFETY for both widths: the loop bounds keep
+            // `x0 + 32 * HALVES <= hw`, the helper's precondition.
+            while x0 + 8 * GATHER_LANES <= hw {
+                let totals = sweep_shuffle::<2>(codes, cols, hw, x0, rows);
+                store_shuffle(&totals, &mut out_row[x0..], scale, bias);
+                x0 += 8 * GATHER_LANES;
+            }
+            if x0 + 4 * GATHER_LANES <= hw {
+                let totals = sweep_shuffle::<1>(codes, cols, hw, x0, rows);
+                store_shuffle(&totals, &mut out_row[x0..], scale, bias);
+                x0 += 4 * GATHER_LANES;
+            }
+        }
         while x0 + 2 * GATHER_LANES <= hw {
-            // SAFETY for both arms: `x0 + 16 <= hw == row.len()` bounds the
-            // activation loads, and masked codes/indices bound every LUT
-            // read (see the helpers' safety comments).
-            let (acc0, acc1) = if int4 {
-                sweep2_permute16(codes, cols, hw, x0, lut)
-            } else {
-                sweep2_gather(codes, cols, hw, x0, lut, stride, lane_mask)
-            };
+            // SAFETY: `x0 + 16 <= hw == row.len()` bounds the activation
+            // loads, and masked codes/indices bound every LUT read (see the
+            // helper's safety comment).
+            let (acc0, acc1) = sweep2_gather(codes, cols, hw, x0, lut, stride, lane_mask);
             let mut lanes = [0i32; 2 * GATHER_LANES];
             _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc0);
             _mm256_storeu_si256(lanes.as_mut_ptr().add(GATHER_LANES) as *mut __m256i, acc1);
@@ -355,7 +499,7 @@ unsafe fn conv_lut_core_avx2(
         while x0 + GATHER_LANES <= hw {
             let mut acc = _mm256_setzero_si256();
             for (&code, row) in codes.iter().zip(cols.chunks_exact(hw)) {
-                // SAFETY: same bounds argument as the two-block helpers,
+                // SAFETY: same bounds argument as the two-block helper,
                 // with a single 8-byte load at `x0 + 8 <= hw`.
                 let sub = lut.as_ptr().add((code as usize & (stride - 1)) * stride);
                 let bytes = _mm_loadl_epi64(row.as_ptr().add(x0) as *const __m128i);
@@ -935,10 +1079,9 @@ impl QuantizedNetwork {
     /// LUT fast path: integer accumulation over contiguous im2col patches.
     ///
     /// The quantized activations are unrolled into a `[in_c·k², h·w]` patch
-    /// matrix and swept by the eight-pixel gather kernel of
-    /// [`conv_lut_core`] — no branches on the activation side, no virtual
-    /// calls.  Integer addition is associative, so the result is
-    /// bit-identical to the reference path.
+    /// matrix and swept by [`conv_lut_core`] — no branches on the
+    /// activation side, no virtual calls.  Integer addition is associative,
+    /// so the result is bit-identical to the reference path.
     fn forward_conv_lut(
         &self,
         conv: &QConv,
@@ -1099,6 +1242,105 @@ mod tests {
             Box::new(Flatten::new()),
             Box::new(Dense::new(4 * 4 * 4, classes, &mut rng)),
         ])
+    }
+
+    /// A `patch`-row, two-channel 1×1 convolution with random weight codes:
+    /// `conv_lut_core` only reads the codes, biases and patch depth.
+    fn oracle_conv(patch: usize, rng: &mut ChaCha8Rng) -> QConv {
+        QConv {
+            in_channels: patch,
+            out_channels: 2,
+            kernel: 1,
+            weights: Vec::new(),
+            codes: (0..2 * patch).map(|_| rng.gen_range(0..16u8)).collect(),
+            weight_params: QuantizationParams {
+                scale: 1.0,
+                bits: 4,
+            },
+            bias: vec![0.25, -1.5],
+        }
+    }
+
+    /// 4-bit LUTs for the sweep oracle, by name, each with whether the
+    /// byte shuffle takes it: saturating tables whose sums overflow `i16`
+    /// past 128 rows unless flushed, a snapshot-like table with one sign
+    /// per code, and two tables it must refuse (mixed signs within a code,
+    /// a magnitude of 256).
+    fn oracle_luts(rng: &mut ChaCha8Rng) -> Vec<(&'static str, Vec<i32>, bool)> {
+        let snapshot_like: Vec<i32> = (0..256)
+            .map(|i: i32| (i / 16 - 8).signum() * rng.gen_range(0..=255))
+            .collect();
+        let mut magnitude_256 = snapshot_like.clone();
+        magnitude_256[15 * 16 + 9] = 256;
+        vec![
+            ("all +255", vec![255; 256], true),
+            ("all -255", vec![-255; 256], true),
+            (
+                "codes alternating ±255",
+                (0..256)
+                    .map(|i| if i / 16 % 2 == 0 { 255 } else { -255 })
+                    .collect(),
+                true,
+            ),
+            ("snapshot-like", snapshot_like, true),
+            (
+                "entries alternating ±255",
+                (0..256)
+                    .map(|i| if i % 2 == 0 { 255 } else { -255 })
+                    .collect(),
+                false,
+            ),
+            ("one magnitude of 256", magnitude_256, false),
+        ]
+    }
+
+    #[test]
+    fn dispatched_conv_sweep_is_bit_identical_to_the_portable_body() {
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        let luts = oracle_luts(&mut rng);
+        let widths: Vec<usize> = (1..=70).chain([144, 256]).collect();
+        for patch in [9, 27, 128, 129, 144, 300] {
+            let conv = oracle_conv(patch, &mut rng);
+            for &hw in &widths {
+                let cols: Vec<u8> = (0..patch * hw).map(|_| rng.gen_range(0..16u8)).collect();
+                for (name, lut, _) in &luts {
+                    let lut_max_abs = lut.iter().map(|&v| (v as i64).abs()).max().unwrap_or(0);
+                    let mut dispatched = vec![0.0f32; 2 * hw];
+                    let mut portable = vec![0.0f32; 2 * hw];
+                    conv_lut_core(&conv, &cols, hw, lut, lut_max_abs, 4, 0.5, &mut dispatched);
+                    conv_lut_core_body(&conv, &cols, hw, lut, lut_max_abs, 4, 0.5, &mut portable);
+                    let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(
+                        bits(&dispatched),
+                        bits(&portable),
+                        "{name}: patch {patch}, hw {hw}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn byte_shuffle_takes_exactly_the_single_sign_byte_sized_int4_luts() {
+        if !std::arch::is_x86_feature_detected!("avx2") {
+            return;
+        }
+        let mut rng = ChaCha8Rng::seed_from_u64(41);
+        for (name, lut, shuffles) in oracle_luts(&mut rng) {
+            // SAFETY: AVX2 support was checked at the top.
+            let taken = unsafe { ShuffleRows::new(&lut) }.is_some();
+            assert_eq!(taken, shuffles, "{name}");
+        }
+        for table in [
+            Arc::new(ExactInt4Products) as Arc<dyn ProductTable>,
+            Arc::new(ExactProducts::new(8)),
+        ] {
+            let lut = snapshot_products(table.as_ref());
+            // SAFETY: AVX2 support was checked at the top.
+            let taken = unsafe { ShuffleRows::new(&lut) }.is_some();
+            assert_eq!(taken, table.operand_bits() == 4, "{}", table.name());
+        }
     }
 
     #[test]
