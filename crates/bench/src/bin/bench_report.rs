@@ -4,13 +4,13 @@
 //! Measures the "before" (naive scalar kernels, per-product dynamic
 //! dispatch, serial evaluation, per-pair analog evaluation) and "after"
 //! (im2col + blocked GEMM, flattened product LUT, parallel batched
-//! evaluation, batched analog grids) sides of the hot paths on identical
+//! evaluation, analog readout kernel) sides of the hot paths on identical
 //! workloads, and emits the wall-clock numbers plus speedups as JSON so the
 //! repository's perf trajectory is machine-checkable from this PR onward.
 //!
 //! Both reports also verify — and fail the process on violation — that each
 //! fast path produces **bit-identical** results to its reference path
-//! (quantized LUT logits vs. dynamic dispatch, batched multiplier tables
+//! (quantized LUT logits vs. dynamic dispatch, kernel-built multiplier tables
 //! and corner metrics vs. the scalar loops), so a perf regression hunt can
 //! never silently trade correctness for speed.
 //!
@@ -492,7 +492,7 @@ fn serving_section(quick: bool) {
 }
 
 /// The analog hot-path workloads: multiplier-table construction and a PVT
-/// corner sweep, scalar per-pair path vs. batched analog grids — each gated
+/// corner sweep, scalar per-pair path vs. the readout kernel — each gated
 /// by a bit-identity check — plus calibration snapshot load vs. a full
 /// recalibration.
 fn analog_workloads(quick: bool) -> Vec<Workload> {
@@ -508,11 +508,11 @@ fn analog_workloads(quick: bool) -> Vec<Workload> {
     {
         let scalar = MultiplierTable::from_multiplier_scalar(&multiplier, at)
             .expect("scalar table build succeeds");
-        let batched = MultiplierTable::from_multiplier(&multiplier, at)
-            .expect("batched table build succeeds");
+        let batched =
+            MultiplierTable::from_multiplier(&multiplier, at).expect("kernel table build succeeds");
         assert_eq!(
             scalar, batched,
-            "batched multiplier table must be bit-identical to the scalar path"
+            "kernel-built multiplier table must be bit-identical to the scalar path"
         );
         let baseline_seconds = time_iterations(iterations, || {
             black_box(MultiplierTable::from_multiplier_scalar(&multiplier, at).unwrap());
@@ -523,7 +523,7 @@ fn analog_workloads(quick: bool) -> Vec<Workload> {
         workloads.push(Workload {
             name: "multiplier_table_build_16x16",
             baseline: "scalar-per-pair",
-            optimized: "batched-analog-grid",
+            optimized: "readout-kernel",
             baseline_seconds,
             optimized_seconds,
             iterations,
@@ -550,7 +550,7 @@ fn analog_workloads(quick: bool) -> Vec<Workload> {
             assert_eq!(
                 evaluate_multiplier_at_scalar(&multiplier, corner).unwrap(),
                 evaluate_multiplier_at(&multiplier, corner).unwrap(),
-                "batched corner metrics must be bit-identical to the scalar path"
+                "kernel corner metrics must be bit-identical to the scalar path"
             );
         }
         let passes = if quick { 3 } else { 10 };
@@ -567,7 +567,7 @@ fn analog_workloads(quick: bool) -> Vec<Workload> {
         workloads.push(Workload {
             name: "pvt_corner_sweep_9_corners",
             baseline: "scalar-per-pair",
-            optimized: "batched-analog-grid",
+            optimized: "readout-kernel",
             baseline_seconds,
             optimized_seconds,
             iterations: passes * corners.len(),

@@ -27,18 +27,27 @@ impl Experiment for Fig8CornerPvt {
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
         let models = ctx.models();
+        let array = ctx.array();
         let config = if ctx.is_fast() {
             PvtAnalysisConfig::fast()
         } else {
             PvtAnalysisConfig::default()
         };
+        // Five equal bins over the geometry's product range, widened to a
+        // multiple of 50 (0..250 in steps of 50 at INT4).
+        let bin_width = (array.product_max() as usize + 1)
+            .div_ceil(5)
+            .next_multiple_of(50);
         let mut report = Report::new();
 
         report
             .heading(1, "Fig. 8 — corner PVT and mismatch analysis")
+            .blank()
+            .note(format!("Array geometry: {}", array.describe()))
             .blank();
         for (name, corner_config) in crate::paper_corners() {
-            let multiplier = InSramMultiplier::new(models.clone(), corner_config)?;
+            let multiplier =
+                InSramMultiplier::new(models.clone(), corner_config.with_array(array))?;
             let analysis = PvtAnalysis::run(&multiplier, &config)?;
 
             report.heading(2, format!("Corner `{name}`")).blank();
@@ -68,11 +77,11 @@ impl Experiment for Fig8CornerPvt {
                 Column::unit("avg error", "LSB"),
                 Column::unit("analog sigma", "mV"),
             ]);
-            // Bin the 116 distinct expected results into coarse ranges for
+            // Bin the distinct expected results into coarse ranges for
             // readability.
             let profile = &analysis.result_profile;
-            for range_start in (0..=200).step_by(50) {
-                let range_end = range_start + 50;
+            for range_start in (0..=array.product_max() as usize).step_by(bin_width) {
+                let range_end = range_start + bin_width;
                 let indices: Vec<usize> = profile
                     .expected_results
                     .iter()
@@ -143,7 +152,7 @@ impl Experiment for Fig8CornerPvt {
                 .heading(
                     3,
                     format!(
-                        "Mismatch Monte Carlo ({} instances)",
+                        "Mismatch Monte Carlo ({} dies)",
                         mc.per_sample_error_lsb.len()
                     ),
                 )

@@ -208,6 +208,14 @@ impl ArrayConfig {
         s * s
     }
 
+    /// Logical data column of bit `bit` in analog pass `pass`: pass `p`
+    /// reads stored slice `p % slices`, whose bit `bit` lives on column
+    /// `(p % slices) · slice_bits + bit`.
+    pub fn logical_column(&self, pass: usize, bit: u8) -> u16 {
+        let d_slice = (pass % self.slices() as usize) as u16;
+        d_slice * self.slice_bits as u16 + bit as u16
+    }
+
     /// Number of points in the exhaustive input space, `(operand_max + 1)²`.
     pub fn input_space(&self) -> usize {
         let side = self.operand_max() as usize + 1;
@@ -294,6 +302,10 @@ mod tests {
         assert_eq!(config.dac_bits(), 4);
         assert_eq!(config.adc_bits(), 8);
         assert_eq!(config.describe(), "16x8 int8 (4b slices)");
+        // Pass p reads stored slice p % 2, whose bits sit side by side.
+        let columns: Vec<u16> = (0..4).map(|pass| config.logical_column(pass, 3)).collect();
+        assert_eq!(columns, [3, 7, 3, 7]);
+        assert_eq!(ArrayConfig::paper().logical_column(0, 2), 2);
     }
 
     #[test]

@@ -40,12 +40,13 @@ impl MultiplierMetrics {
 }
 
 /// Evaluates a multiplier over the full input space at the given operating
-/// point, through the batched analog grid
-/// ([`InSramMultiplier::outcome_grid`]): the fitted polynomials are
-/// evaluated once per (operand, column) instead of once per operand pair.
+/// point, streaming every pair out of the multiplier's
+/// [`InSramMultiplier::readout_kernel`]: the fitted polynomials are
+/// evaluated once per (slice operand, column), and no per-pair vector is
+/// materialised.
 ///
 /// Bit-identical to [`evaluate_multiplier_at_scalar`] (enforced by property
-/// tests).
+/// tests): every sum runs in the same operand-major order.
 ///
 /// # Errors
 ///
@@ -54,14 +55,35 @@ pub fn evaluate_multiplier_at(
     multiplier: &InSramMultiplier,
     at: OperatingPoint,
 ) -> Result<MultiplierMetrics, ImcError> {
-    let outcomes = multiplier.outcome_grid(at)?;
-    let sigmas = multiplier.analog_sigma_grid()?;
-    metrics_from(&outcomes, &sigmas)
+    let kernel = multiplier.readout_kernel(at)?;
+    let max = kernel.operand_max();
+    let mut abs_sum = 0.0;
+    let mut square_sum = 0.0;
+    let mut max_error: f64 = 0.0;
+    let mut worst_sigma: f64 = 0.0;
+    let (energy_sum, total_sum) = kernel.sweep_input_space(|a, d, result| {
+        let error = result as f64 - (a * d) as f64;
+        abs_sum += error.abs();
+        square_sum += error * error;
+        max_error = max_error.max(error.abs());
+        worst_sigma = worst_sigma.max(kernel.analog_sigma(a, d).0);
+    });
+    let count = multiplier.array().input_space() as f64;
+    Ok(MultiplierMetrics {
+        epsilon_mul: abs_sum / count,
+        rms_error_lsb: (square_sum / count).sqrt(),
+        max_error_lsb: max_error,
+        energy_per_multiply: FemtoJoules(energy_sum / count),
+        energy_per_operation: FemtoJoules(total_sum / count),
+        sigma_at_max_discharge: kernel.analog_sigma(max, max),
+        worst_case_sigma: Volts(worst_sigma),
+    })
 }
 
 /// The scalar per-pair reference implementation of
-/// [`evaluate_multiplier_at`], kept for bit-identity verification in tests
-/// and the `analog_mac` benches.
+/// [`evaluate_multiplier_at`]: every pair through
+/// [`InSramMultiplier::multiply_at`] and [`InSramMultiplier::analog_sigma`],
+/// kept for bit-identity verification in tests and the `analog_mac` benches.
 ///
 /// # Errors
 ///

@@ -13,13 +13,22 @@
 //! [`optima_core::sweep`]: a failing condition aborts the analysis with
 //! [`ImcError::CornerFailed`] naming it, and every reported number —
 //! including the Monte-Carlo statistics, which draw one split-seed RNG
-//! stream per sample — is bit-identical for any thread count.  Inside each
-//! swept condition the full input space of the geometry (16×16 pairs at
-//! INT4, 256×256 at INT8) is evaluated through the batched analog path
-//! ([`InSramMultiplier::outcome_grid`]); the Monte-Carlo samples share one
-//! precomputed [`crate::multiplier::MismatchGrid`] and only draw their
-//! deviations.  Both are bit-identical to the scalar per-pair loops they
-//! replaced.
+//! stream per die — is bit-identical for any thread count.
+//!
+//! Inside each swept condition the full input space of the geometry (16×16
+//! pairs at INT4, 256×256 at INT8) streams out of one
+//! [`InSramMultiplier::readout_kernel`], bit-identical to the scalar
+//! per-pair path.
+//!
+//! Mismatch is modelled as a property of the fabricated die, not as noise
+//! on every operation: a die is one standard-normal offset `z` per physical
+//! column, and a column reading slice operand `a` at bit `bit` discharges
+//! `ΔV + σ(a, bit) · z`, with Eq. 6's σ (see
+//! [`InSramMultiplier::sample_die`]).  A slow column is therefore slow for
+//! every product that reads it, and a redundancy-remapped column carries its
+//! spare's offset.  The dies share one precomputed
+//! [`crate::multiplier::MismatchGrid`]; each die rebuilds only its ADC code
+//! table and reads the input space out of it with no random draws.
 
 use crate::error::ImcError;
 use crate::multiplier::{InSramMultiplier, OperatingPoint};
@@ -29,7 +38,6 @@ use optima_math::stats;
 use optima_math::units::{Celsius, Volts};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::convert::Infallible;
 
 /// Configuration of the PVT analysis sweeps.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,11 +46,12 @@ pub struct PvtAnalysisConfig {
     pub supply_voltages: Vec<f64>,
     /// Temperatures of the temperature sweep (°C).
     pub temperatures: Vec<f64>,
-    /// Number of mismatch Monte Carlo instances (each covers the full
-    /// input space of the analysed geometry).
+    /// Number of mismatch Monte Carlo dies.  Each die draws one offset per
+    /// physical column and is read out over the full input space of the
+    /// analysed geometry.
     pub mismatch_samples: usize,
-    /// Base RNG seed of the Monte Carlo sampling; every sample derives its
-    /// own independent stream from it (see
+    /// Base RNG seed of the Monte Carlo sampling; every die derives its own
+    /// independent stream from it (see
     /// [`optima_core::sweep::stream_seed`]).
     pub seed: u64,
     /// Worker threads of the sweeps (`0` = automatic, see
@@ -94,17 +103,19 @@ pub struct ConditionSweep {
     pub average_error_lsb: Vec<f64>,
 }
 
-/// Mismatch Monte-Carlo error statistics over the full input space.
+/// Mismatch Monte-Carlo error statistics over the full input space, one
+/// sample per die (one offset per physical column, see
+/// [`InSramMultiplier::sample_die`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MismatchMonteCarlo {
-    /// Average absolute error of each Monte-Carlo instance, in LSBs, in
-    /// sample order (sample `i` uses the RNG stream derived for index `i`).
+    /// Average absolute error of each die over the input space, in LSBs, in
+    /// die order (die `i` uses the RNG stream derived for index `i`).
     pub per_sample_error_lsb: Vec<f64>,
-    /// Mean of the per-sample average errors, in LSBs.
+    /// Mean of the per-die average errors, in LSBs.
     pub mean_error_lsb: f64,
-    /// Standard deviation of the per-sample average errors, in LSBs.
+    /// Standard deviation of the per-die average errors, in LSBs.
     pub std_error_lsb: f64,
-    /// Worst per-sample average error, in LSBs.
+    /// Worst per-die average error, in LSBs.
     pub worst_error_lsb: f64,
 }
 
@@ -141,51 +152,45 @@ impl PvtAnalysis {
         let input_space = multiplier.array().input_space();
 
         // ---- Fig. 8 left: error and sigma binned by expected result ----
-        // The whole input space is evaluated in one batched analog-grid
-        // pass ([`InSramMultiplier::outcome_grid`]); outcomes come back in
-        // operand-major order, so binning sees samples in the same (a, d)
-        // order as the historical serial double loop — and the grid itself is
-        // bit-identical to that loop.
-        let outcomes =
+        // The whole input space streams out of one readout kernel, and
+        // every bin sums its pairs in operand-major (a, d) order, like the
+        // scalar reference.
+        let kernel =
             multiplier
-                .outcome_grid(nominal)
+                .readout_kernel(nominal)
                 .map_err(|source| ImcError::CornerFailed {
                     index: 0,
                     corner: "nominal input-space grid".to_string(),
                     source: Box::new(source),
                 })?;
-        let sigmas = multiplier
-            .analog_sigma_grid()
-            .map_err(|source| ImcError::CornerFailed {
-                index: 0,
-                corner: "nominal input-space sigma grid".to_string(),
-                source: Box::new(source),
-            })?;
-
-        let mut per_expected_error: Vec<Vec<f64>> = vec![Vec::new(); product_max as usize + 1];
-        let mut per_expected_sigma: Vec<Vec<f64>> = vec![Vec::new(); product_max as usize + 1];
-        let mut abs_errors = Vec::with_capacity(input_space);
+        let max = kernel.operand_max();
+        // (error sum, sigma sum, pairs) per expected result.
+        let mut bins = vec![(0.0, 0.0, 0u32); product_max as usize + 1];
+        let mut abs_sum = 0.0;
         let mut worst_sigma: f64 = 0.0;
-        for (outcome, sigma) in outcomes.iter().zip(&sigmas) {
-            let error_lsb = outcome.error_lsb();
-            per_expected_error[outcome.expected as usize].push(error_lsb);
-            per_expected_sigma[outcome.expected as usize].push(sigma.0);
-            abs_errors.push(error_lsb.abs());
-            worst_sigma = worst_sigma.max(sigma.0);
+        for a in 0..=max {
+            for d in 0..=max {
+                let error_lsb = kernel.result(a, d) as f64 - (a * d) as f64;
+                let sigma = kernel.analog_sigma(a, d).0;
+                let bin = &mut bins[(a * d) as usize];
+                bin.0 += error_lsb;
+                bin.1 += sigma;
+                bin.2 += 1;
+                abs_sum += error_lsb.abs();
+                worst_sigma = worst_sigma.max(sigma);
+            }
         }
 
         let mut result_profile = ResultProfile::default();
-        for expected in 0..=product_max as usize {
-            if per_expected_error[expected].is_empty() {
+        for (expected, &(error_sum, sigma_sum, pairs)) in bins.iter().enumerate() {
+            if pairs == 0 {
                 continue;
             }
             result_profile.expected_results.push(expected as u16);
             result_profile
                 .average_error_lsb
-                .push(stats::mean(&per_expected_error[expected]));
-            result_profile
-                .analog_sigma
-                .push(stats::mean(&per_expected_sigma[expected]));
+                .push(error_sum / pairs as f64);
+            result_profile.analog_sigma.push(sigma_sum / pairs as f64);
         }
 
         // ---- Fig. 8 right: error vs supply voltage and temperature ----
@@ -225,11 +230,11 @@ impl PvtAnalysis {
             average_error_lsb: temperature_errors,
         };
 
-        // ---- Mismatch Monte Carlo: one split-seed RNG stream per sample ----
+        // ---- Mismatch Monte Carlo: one die per split-seed RNG stream ----
         // The nominal ΔV and σ of every (slice operand, column) are computed
-        // once and shared read-only by the samples; each sample only draws
-        // its deviations ([`InSramMultiplier::mismatch_error_sample`],
-        // bit-identical to the scalar `multiply_with_mismatch` loop).
+        // once and shared read-only by the dies; each die draws one offset
+        // per physical column and rebuilds only its ADC code table
+        // ([`InSramMultiplier::mismatch_die_error`]).
         let grid = multiplier
             .mismatch_grid(nominal)
             .map_err(|source| ImcError::CornerFailed {
@@ -237,12 +242,15 @@ impl PvtAnalysis {
                 corner: "nominal mismatch Monte-Carlo grid".to_string(),
                 source: Box::new(source),
             })?;
-        let sample_indices: Vec<u64> = (0..config.mismatch_samples as u64).collect();
-        let per_sample_error_lsb = par_map_sweep(&sample_indices, config.threads, |_, &sample| {
-            let rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
-            Ok::<_, Infallible>(multiplier.mismatch_error_sample(&grid, rng))
+        let dies: Vec<u64> = (0..config.mismatch_samples as u64).collect();
+        let per_sample_error_lsb = par_map_sweep(&dies, config.threads, |_, &die| {
+            let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, die));
+            multiplier.mismatch_die_error(&grid, &multiplier.sample_die(&mut rng))
         })
-        .unwrap_or_else(|err| match err.source {});
+        .map_err(|err| {
+            let die = err.index;
+            ImcError::from_sweep(err, format!("mismatch die {die}"))
+        })?;
         let mismatch_monte_carlo = MismatchMonteCarlo {
             mean_error_lsb: stats::mean(&per_sample_error_lsb),
             std_error_lsb: stats::std_dev(&per_sample_error_lsb),
@@ -256,27 +264,23 @@ impl PvtAnalysis {
             temperature_sweep,
             mismatch_monte_carlo,
             worst_case_sigma: worst_sigma,
-            nominal_epsilon_mul: stats::mean(&abs_errors),
+            nominal_epsilon_mul: abs_sum / input_space as f64,
         })
     }
 }
 
 /// Average absolute error over the full input space at one operating point,
-/// evaluated through the batched analog grid (bit-identical to the scalar
-/// per-pair loop it replaced).
+/// read out of the multiplier's readout kernel (bit-identical to the scalar
+/// per-pair loop).
 fn average_error_at(multiplier: &InSramMultiplier, at: OperatingPoint) -> Result<f64, ImcError> {
-    let errors: Vec<f64> = multiplier
-        .outcome_grid(at)?
-        .iter()
-        .map(|outcome| outcome.error_lsb().abs())
-        .collect();
-    Ok(stats::mean(&errors))
+    Ok(multiplier.readout_kernel(at)?.mean_abs_error())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::multiplier::{MultiplierConfig, PRODUCT_MAX};
+    use crate::metrics::{evaluate_multiplier_at, evaluate_multiplier_at_scalar};
+    use crate::multiplier::{MultiplierConfig, MultiplierTable, PRODUCT_MAX};
     use crate::reliability::FaultState;
     use crate::testsupport::{linear_suite, linear_suite_with_mismatch, pvt_sensitive_suite};
     use optima_circuit::array::ArrayConfig;
@@ -456,21 +460,20 @@ mod tests {
         }
     }
 
-    /// The scalar reference of the Monte Carlo: every pair of every sample
-    /// through [`InSramMultiplier::multiply_with_mismatch`] on the sample's
-    /// split-seed stream, averaged with [`stats::mean`].
+    /// The test-side per-pair reference of the Monte Carlo: every die drawn
+    /// from its split-seed stream, every pair through the scalar
+    /// [`InSramMultiplier::multiply_on_die`], averaged with [`stats::mean`].
     fn scalar_monte_carlo(multiplier: &InSramMultiplier, config: &PvtAnalysisConfig) -> Vec<f64> {
         let nominal = multiplier.nominal_operating_point();
         let max = multiplier.array().operand_max();
         (0..config.mismatch_samples as u64)
             .map(|sample| {
                 let mut rng = ChaCha8Rng::seed_from_u64(stream_seed(config.seed, sample));
+                let die = multiplier.sample_die(&mut rng);
                 let mut errors = Vec::with_capacity(multiplier.array().input_space());
                 for a in 0..=max {
                     for d in 0..=max {
-                        let outcome = multiplier
-                            .multiply_with_mismatch(&mut rng, a, d, nominal)
-                            .unwrap();
+                        let outcome = multiplier.multiply_on_die(a, d, nominal, &die).unwrap();
                         errors.push(outcome.error_lsb().abs());
                     }
                 }
@@ -479,48 +482,116 @@ mod tests {
             .collect()
     }
 
-    /// Asserts that the grid Monte Carlo of [`PvtAnalysis::run`] reproduces
-    /// the scalar reference bit for bit at 1, 2 and 8 threads.
-    fn assert_monte_carlo_matches_scalar(multiplier: &InSramMultiplier, samples: usize) {
+    /// The scalar reference of the result profile: the pairs of the scalar
+    /// table binned by expected result in operand-major order.
+    fn scalar_profile(multiplier: &InSramMultiplier, table: &MultiplierTable) -> ResultProfile {
+        let max = multiplier.array().operand_max();
+        let mut errors = vec![Vec::new(); multiplier.array().product_max() as usize + 1];
+        let mut sigmas = vec![Vec::new(); errors.len()];
+        for a in 0..=max {
+            for d in 0..=max {
+                errors[(a * d) as usize].push(table.lookup(a, d) as f64 - (a * d) as f64);
+                sigmas[(a * d) as usize].push(multiplier.analog_sigma(a, d).unwrap().0);
+            }
+        }
+        let mut profile = ResultProfile::default();
+        for (expected, (errors, sigmas)) in errors.iter().zip(&sigmas).enumerate() {
+            if !errors.is_empty() {
+                profile.expected_results.push(expected as u16);
+                profile.average_error_lsb.push(stats::mean(errors));
+                profile.analog_sigma.push(stats::mean(sigmas));
+            }
+        }
+        profile
+    }
+
+    /// Asserts that every kernel-backed number — `evaluate_multiplier_at`,
+    /// `MultiplierTable::from_multiplier`, the PVT result profile and
+    /// condition sweeps — equals its scalar reference bit for bit, and that
+    /// the per-die Monte Carlo equals the scalar per-pair reference, at 1, 2
+    /// and 8 threads.
+    fn assert_kernel_matches_scalar(multiplier: &InSramMultiplier, dies: usize) {
+        let nominal = multiplier.nominal_operating_point();
         let config = PvtAnalysisConfig {
-            mismatch_samples: samples,
-            supply_voltages: vec![1.0],
-            temperatures: vec![25.0],
+            mismatch_samples: dies,
+            supply_voltages: vec![1.05],
+            temperatures: vec![60.0],
             ..PvtAnalysisConfig::fast()
         };
-        let reference = scalar_monte_carlo(multiplier, &config);
         let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let mean = stats::mean(&reference);
-        let std = stats::std_dev(&reference);
-        let worst = reference.iter().cloned().fold(0.0, f64::max);
+        let conditions = [
+            nominal,
+            OperatingPoint {
+                vdd: Volts(1.05),
+                temperature: nominal.temperature,
+            },
+            OperatingPoint {
+                vdd: nominal.vdd,
+                temperature: Celsius(60.0),
+            },
+        ];
+        let mut scalar_epsilons = Vec::new();
+        let mut nominal_table = None;
+        for at in conditions {
+            let scalar = evaluate_multiplier_at_scalar(multiplier, at).unwrap();
+            assert_eq!(evaluate_multiplier_at(multiplier, at).unwrap(), scalar);
+            let table = MultiplierTable::from_multiplier_scalar(multiplier, at).unwrap();
+            assert_eq!(
+                MultiplierTable::from_multiplier(multiplier, at).unwrap(),
+                table
+            );
+            scalar_epsilons.push(scalar);
+            nominal_table.get_or_insert(table);
+        }
+        let profile = scalar_profile(multiplier, &nominal_table.unwrap());
+        let monte_carlo = scalar_monte_carlo(multiplier, &config);
         for threads in [1, 2, 8] {
-            let mc = PvtAnalysis::run(
+            let analysis = PvtAnalysis::run(
                 multiplier,
                 &PvtAnalysisConfig {
                     threads,
                     ..config.clone()
                 },
             )
-            .unwrap()
-            .mismatch_monte_carlo;
+            .unwrap();
+            assert_eq!(analysis.result_profile, profile, "threads = {threads}");
+            assert_eq!(
+                analysis.nominal_epsilon_mul.to_bits(),
+                scalar_epsilons[0].epsilon_mul.to_bits()
+            );
+            assert_eq!(
+                analysis.worst_case_sigma.to_bits(),
+                scalar_epsilons[0].worst_case_sigma.0.to_bits()
+            );
+            assert_eq!(
+                bits(&analysis.supply_sweep.average_error_lsb),
+                bits(&[scalar_epsilons[1].epsilon_mul]),
+                "supply sweep, threads = {threads}"
+            );
+            assert_eq!(
+                bits(&analysis.temperature_sweep.average_error_lsb),
+                bits(&[scalar_epsilons[2].epsilon_mul]),
+                "temperature sweep, threads = {threads}"
+            );
+            let mc = &analysis.mismatch_monte_carlo;
             assert_eq!(
                 bits(&mc.per_sample_error_lsb),
-                bits(&reference),
-                "per-sample errors, threads = {threads}"
+                bits(&monte_carlo),
+                "per-die errors, threads = {threads}"
             );
             assert_eq!(
                 mc.mean_error_lsb.to_bits(),
-                mean.to_bits(),
+                stats::mean(&monte_carlo).to_bits(),
                 "threads = {threads}"
             );
             assert_eq!(
                 mc.std_error_lsb.to_bits(),
-                std.to_bits(),
+                stats::std_dev(&monte_carlo).to_bits(),
                 "threads = {threads}"
             );
             assert_eq!(
                 mc.worst_error_lsb.to_bits(),
-                worst.to_bits(),
+                monte_carlo.iter().cloned().fold(0.0, f64::max).to_bits(),
                 "threads = {threads}"
             );
         }
@@ -600,16 +671,53 @@ mod tests {
     }
 
     #[test]
-    fn grid_monte_carlo_is_bit_identical_to_scalar_multiplication_int4() {
+    fn kernel_is_bit_identical_to_the_scalar_references_int4() {
         for multiplier in oracle_multipliers(ArrayConfig::paper()) {
-            assert_monte_carlo_matches_scalar(&multiplier, 6);
+            assert_kernel_matches_scalar(&multiplier, 6);
         }
     }
 
     #[test]
-    fn grid_monte_carlo_is_bit_identical_to_scalar_multiplication_int8() {
+    fn kernel_is_bit_identical_to_the_scalar_references_int8() {
         for multiplier in oracle_multipliers(ArrayConfig::int8()) {
-            assert_monte_carlo_matches_scalar(&multiplier, 2);
+            assert_kernel_matches_scalar(&multiplier, 2);
+        }
+    }
+
+    #[test]
+    fn zero_sigma_dies_reproduce_the_nominal_error() {
+        // With σ = 0 every die offset vanishes whatever its draws, so every
+        // die's error is the nominal ε_mul bit for bit — pristine or faulted,
+        // single-pass or composed.
+        let zero = MismatchSigmaModel::new(Polynomial::new(vec![0.0]), Polynomial::new(vec![0.0]));
+        for base in [ArrayConfig::paper(), ArrayConfig::int8()] {
+            for multiplier in oracle_multipliers(base) {
+                let config = *multiplier.config();
+                let mut zero_sigma =
+                    InSramMultiplier::new(linear_suite_with_mismatch(zero.clone()), config)
+                        .unwrap();
+                if let Some(faults) = multiplier.faults() {
+                    zero_sigma = zero_sigma.with_faults(faults.clone()).unwrap();
+                }
+                let analysis = PvtAnalysis::run(
+                    &zero_sigma,
+                    &PvtAnalysisConfig {
+                        mismatch_samples: 3,
+                        supply_voltages: vec![1.0],
+                        temperatures: vec![25.0],
+                        ..PvtAnalysisConfig::fast()
+                    },
+                )
+                .unwrap();
+                for error in &analysis.mismatch_monte_carlo.per_sample_error_lsb {
+                    assert_eq!(
+                        error.to_bits(),
+                        analysis.nominal_epsilon_mul.to_bits(),
+                        "{}",
+                        config.array.describe()
+                    );
+                }
+            }
         }
     }
 

@@ -210,15 +210,11 @@ impl FaultState {
         self.vth_shift
     }
 
-    /// Physical column feeding `(pass, bit)`: pass `p` reads d-slice
-    /// `p % slices`, whose bit `bit` lives on logical data column
-    /// `(p % slices) · slice_bits + bit`, possibly remapped onto a spare.
+    /// Physical column feeding `(pass, bit)`: its logical data column
+    /// ([`ArrayConfig::logical_column`]), possibly remapped onto a spare.
     #[inline]
-    fn physical_column(&self, pass: usize, bit: u8) -> u16 {
-        let slices = self.array.slices() as usize;
-        let d_slice = (pass % slices) as u16;
-        self.remap
-            .physical(d_slice * self.array.slice_bits as u16 + bit as u16)
+    pub(crate) fn physical_column(&self, pass: usize, bit: u8) -> u16 {
+        self.remap.physical(self.array.logical_column(pass, bit))
     }
 
     /// `true` when the column of `(pass, bit)` discharges given the written

@@ -219,9 +219,9 @@ proptest! {
         }
     }
 
-    /// Batched multiplier-table construction and the batched input-space
-    /// outcomes are bit-identical to the scalar per-pair path for arbitrary
-    /// design points and operating points.
+    /// Kernel-backed multiplier-table construction and the readout kernel's
+    /// per-pair results and energies are bit-identical to the scalar
+    /// per-pair path for arbitrary design points and operating points.
     #[test]
     fn batched_multiplier_table_is_bit_identical_to_scalar(
         tau0_ps in 100.0f64..300.0,
@@ -241,11 +241,19 @@ proptest! {
         let batched = MultiplierTable::from_multiplier(&multiplier, at).unwrap();
         let scalar = MultiplierTable::from_multiplier_scalar(&multiplier, at).unwrap();
         prop_assert_eq!(batched, scalar);
-        let outcomes = multiplier.outcome_grid(at).unwrap();
+        let kernel = multiplier.readout_kernel(at).unwrap();
         for a in 0..=15u16 {
             for d in 0..=15u16 {
                 let scalar_outcome = multiplier.multiply_at(a, d, at).unwrap();
-                prop_assert_eq!(outcomes[(a * 16 + d) as usize], scalar_outcome);
+                prop_assert_eq!(kernel.result(a, d), scalar_outcome.result);
+                prop_assert_eq!(
+                    kernel.multiply_energy(a, d).0.to_bits(),
+                    scalar_outcome.multiply_energy.0.to_bits()
+                );
+                prop_assert_eq!(
+                    kernel.write_energy().0.to_bits(),
+                    scalar_outcome.write_energy.0.to_bits()
+                );
             }
         }
     }
