@@ -16,7 +16,7 @@ use crate::report::{Column, Report, Scalar, Table};
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::prelude::*;
 use optima_core::backend::DischargeBackend;
-use optima_core::sweep::par_map_sweep;
+use optima_core::sweep::{par_map_mismatch, par_map_sweep};
 use optima_core::ModelError;
 use optima_math::stats;
 
@@ -173,12 +173,17 @@ impl Experiment for Fig5Pvt {
         let mismatch_seed = ctx.seed().wrapping_add(MISMATCH_SEED_OFFSET);
         for &v_wl in &[0.6, 0.8, 1.0] {
             let samples = mismatch_model.sample_n(mc_samples, mismatch_seed);
-            // One transient per mismatch instance, reassembled in sample order,
-            // so the statistics are bit-identical at any thread count.
-            let voltages: Vec<f64> = par_map_sweep(&samples, threads, |_, sample| {
-                let waveform = sim.discharge_waveform(&stimulus(v_wl, steps), &nominal, sample)?;
-                Ok::<_, ModelError>(waveform.final_value())
-            })
+            // One transient per mismatch instance, integrated in lock-step
+            // lanes and reassembled in sample order, so the statistics are
+            // bit-identical at any thread count.
+            let voltages: Vec<f64> = par_map_mismatch(
+                &sim,
+                &stimulus(v_wl, steps),
+                &nominal,
+                &samples,
+                threads,
+                |waveform| Ok(waveform.final_value()),
+            )
             .map_err(|err| ModelError::from_sweep(err, "Fig. 5d mismatch Monte-Carlo sweep"))?;
             table.push_row(vec![
                 Scalar::Float(v_wl, 1),

@@ -129,33 +129,75 @@ impl Mosfet {
     /// * subthreshold: `I0 · exp(overdrive / n·kT-equivalent swing)`,
     /// * linear: `β · (overdrive − V_DS/2) · V_DS`,
     /// * saturation: `β/2 · overdrive² · (1 + λ·V_DS)`.
+    ///
+    /// Shorthand for `self.at_gate(v_gs).drain_current(v_ds)`.
     pub fn drain_current(&self, v_gs: Volts, v_ds: Volts) -> Amperes {
-        let v_ds = v_ds.0.max(0.0);
+        self.at_gate(v_gs).drain_current(v_ds)
+    }
+
+    /// The device with its gate held at `v_gs`: every gate-only term of the
+    /// drain-current equation (the overdrive, the subthreshold prefactor and
+    /// the square-law current) is computed once, so a transient at a fixed
+    /// word line evaluates only the `V_DS`-dependent part per step.
+    pub fn at_gate(&self, v_gs: Volts) -> BiasedMosfet {
         let overdrive = v_gs.0 - self.threshold.0;
-        let current = if overdrive <= 0.0 {
-            // Subthreshold: anchor the exponential at the current the
-            // square-law predicts for a small positive overdrive so the two
-            // regions join continuously.
+        // Subthreshold: anchor the exponential at the current the square-law
+        // predicts for a small positive overdrive so the two regions join
+        // continuously.
+        let subthreshold_prefactor = if overdrive <= 0.0 {
             let anchor_overdrive = 0.02;
             let anchor = 0.5 * self.beta * anchor_overdrive * anchor_overdrive;
             let decades = (overdrive - anchor_overdrive) / self.subthreshold_swing;
-            let sat = anchor * 10f64.powf(decades);
-            // Drain-source saturation of the exponential for very small V_DS.
-            sat * (1.0 - (-v_ds / 0.026).exp())
-        } else if v_ds < overdrive {
-            self.beta * (overdrive - 0.5 * v_ds) * v_ds
+            anchor * 10f64.powf(decades)
         } else {
-            // Channel-length modulation referenced to the saturation point so
-            // the current is continuous across the linear/saturation boundary.
-            0.5 * self.beta * overdrive * overdrive * (1.0 + self.lambda * (v_ds - overdrive))
+            0.0
         };
-        Amperes(current.max(0.0))
+        BiasedMosfet {
+            overdrive,
+            beta: self.beta,
+            lambda: self.lambda,
+            subthreshold_prefactor,
+            square_law: 0.5 * self.beta * overdrive * overdrive,
+        }
     }
 
     /// Saturation drain current for the given overdrive voltage (ignoring λ).
     pub fn saturation_current(&self, v_gs: Volts) -> Amperes {
         let overdrive = (v_gs.0 - self.threshold.0).max(0.0);
         Amperes(0.5 * self.beta * overdrive * overdrive)
+    }
+}
+
+/// A [`Mosfet`] at a fixed gate bias (see [`Mosfet::at_gate`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BiasedMosfet {
+    overdrive: f64,
+    beta: f64,
+    lambda: f64,
+    /// `anchor · 10^decades`: the saturated subthreshold current (0 above
+    /// threshold).
+    subthreshold_prefactor: f64,
+    /// `β/2 · overdrive²`: the square-law saturation current without λ.
+    square_law: f64,
+}
+
+impl BiasedMosfet {
+    /// Drain current at drain-source voltage `v_ds` (see
+    /// [`Mosfet::drain_current`] for the three regions).
+    pub fn drain_current(&self, v_ds: Volts) -> Amperes {
+        let v_ds = v_ds.0.max(0.0);
+        let overdrive = self.overdrive;
+        let current = if overdrive <= 0.0 {
+            // Drain-source saturation of the exponential for very small V_DS.
+            self.subthreshold_prefactor * (1.0 - (-v_ds / 0.026).exp())
+        } else if v_ds < overdrive {
+            self.beta * (overdrive - 0.5 * v_ds) * v_ds
+        } else {
+            // Channel-length modulation referenced to the saturation point so
+            // the current is continuous across the linear/saturation boundary.
+            self.square_law * (1.0 + self.lambda * (v_ds - overdrive))
+        };
+        Amperes(current.max(0.0))
     }
 }
 

@@ -7,17 +7,30 @@
 //! `optima-core` are calibrated against and evaluated against the waveforms
 //! produced here, and the paper's speed-up claim is measured as the runtime
 //! ratio between this simulator and the fitted models.
+//!
+//! The reference is lane-batched and allocation-free.  Within one transient
+//! the word line, V_th and β are fixed, so each cell's gate-only terms are
+//! computed once ([`SramCell::at_word_line`]) rather than per RK stage.  A
+//! Monte-Carlo batch ([`TransientSimulator::discharge_waveforms`]) advances
+//! [`TransientSimulator::LANES`] mismatch instances of one stimulus in
+//! lock-step through the same [`ode::rk4`] loop a single waveform
+//! uses: they share the time grid, each lane runs exactly the one-lane
+//! arithmetic (so every waveform is bit-identical to a lone integration),
+//! and the divide latency of one lane's chain overlaps the others.  The
+//! trajectory buffers are reused from lane group to lane group, so a step
+//! allocates nothing and a batch streams its waveforms out group by group.
 
 use crate::bitline::BitLine;
 use crate::energy::EnergyReport;
 use crate::error::CircuitError;
 use crate::montecarlo::MismatchSample;
 use crate::pvt::PvtConditions;
-use crate::sram::SramCell;
+use crate::sram::{BiasedCell, SramCell};
 use crate::technology::Technology;
 use crate::waveform::Waveform;
-use optima_math::ode;
+use optima_math::ode::{self, OdeSolution};
 use optima_math::units::{Seconds, Volts};
+use std::fmt;
 
 /// Stimulus description for a single-cell discharge experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,6 +56,33 @@ impl Default for DischargeStimulus {
             cells_on_bitline: 16,
             time_steps: 400,
         }
+    }
+}
+
+/// Failure of one instance of a lane-batched Monte-Carlo integration
+/// ([`TransientSimulator::discharge_waveforms`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchError {
+    /// Position of the failing instance in the batch's mismatch slice.  A
+    /// stimulus that is invalid for every instance fails at index 0.
+    pub index: usize,
+    /// What went wrong.
+    pub source: CircuitError,
+}
+
+impl fmt::Display for BatchError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "mismatch instance {} failed: {}",
+            self.index, self.source
+        )
+    }
+}
+
+impl std::error::Error for BatchError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
     }
 }
 
@@ -78,13 +118,21 @@ impl TransientSimulator {
         &self.technology
     }
 
+    /// Number of mismatch instances a Monte-Carlo batch integrates in
+    /// lock-step (see the [module docs](self)).
+    pub const LANES: usize = 4;
+
     /// Simulates the BLB voltage over time for one discharge operation.
+    ///
+    /// This is a one-lane call of the kernel
+    /// [`TransientSimulator::discharge_waveforms`] runs.
     ///
     /// # Errors
     ///
     /// Returns [`CircuitError::InvalidOperatingPoint`] for non-physical
     /// stimulus parameters (non-positive duration, zero steps, V_WL outside
-    /// `[0, 1.5·VDD]`) and propagates numeric failures of the integrator.
+    /// `[0, 1.5·VDD]`) or a non-finite mismatch sample, and propagates
+    /// numeric failures of the integrator.
     pub fn discharge_waveform(
         &self,
         stimulus: &DischargeStimulus,
@@ -92,28 +140,118 @@ impl TransientSimulator {
         mismatch: &MismatchSample,
     ) -> Result<Waveform, CircuitError> {
         self.validate(stimulus, pvt)?;
-        let cell = SramCell::new(stimulus.stored_bit, &self.technology, pvt, mismatch);
+        check_mismatch(mismatch)?;
+        let cell = self.biased_cell(stimulus, pvt, mismatch);
+        let mut solution = OdeSolution::default();
+        self.integrate([cell], stimulus, pvt, &mut solution)?;
+        let (times, values) = solution.into_parts();
+        Waveform::from_samples(times, values)
+    }
+
+    /// Simulates one discharge per mismatch instance of the same stimulus
+    /// and hands each waveform to `visit` with its index in `mismatches`,
+    /// in order.
+    ///
+    /// The instances are integrated [`TransientSimulator::LANES`] at a time
+    /// in lock-step, and every waveform is bit-identical to
+    /// [`TransientSimulator::discharge_waveform`] of the same instance.  Only
+    /// one lane group is held at a time: the waveform `visit` sees is
+    /// overwritten by the next instance, so copy out what must outlive the
+    /// call.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`BatchError`] naming the failing instance: the errors of
+    /// [`TransientSimulator::discharge_waveform`] (an invalid stimulus fails
+    /// at index 0) or the first error `visit` returns.
+    pub fn discharge_waveforms<F>(
+        &self,
+        stimulus: &DischargeStimulus,
+        pvt: &PvtConditions,
+        mismatches: &[MismatchSample],
+        mut visit: F,
+    ) -> Result<(), BatchError>
+    where
+        F: FnMut(usize, &Waveform) -> Result<(), CircuitError>,
+    {
+        let at = |index: usize| move |source: CircuitError| BatchError { index, source };
+        self.validate(stimulus, pvt).map_err(at(0))?;
+        let mut solution = OdeSolution::<{ Self::LANES }>::default();
+        let mut waveform: Option<Waveform> = None;
+        for (group_index, group) in mismatches.chunks(Self::LANES).enumerate() {
+            let base = group_index * Self::LANES;
+            for (lane, mismatch) in group.iter().enumerate() {
+                check_mismatch(mismatch).map_err(at(base + lane))?;
+            }
+            // A partial last group repeats its last instance in the spare
+            // lanes, whose results are never read.
+            let cells: [BiasedCell; Self::LANES] = std::array::from_fn(|lane| {
+                self.biased_cell(stimulus, pvt, &group[lane.min(group.len() - 1)])
+            });
+            self.integrate(cells, stimulus, pvt, &mut solution)
+                .map_err(at(base))?;
+            for lane in 0..group.len() {
+                let index = base + lane;
+                let values = solution.component(lane);
+                let current = match waveform.as_mut() {
+                    // Every group shares the time grid validated for the first.
+                    Some(current) => {
+                        current.overwrite_values(values).map_err(at(index))?;
+                        current
+                    }
+                    None => waveform.insert(
+                        Waveform::from_samples(solution.times().to_vec(), values.collect())
+                            .map_err(at(index))?,
+                    ),
+                };
+                visit(index, current).map_err(at(index))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The cell of one mismatch instance under `stimulus`, with its word
+    /// line bias hoisted.
+    fn biased_cell(
+        &self,
+        stimulus: &DischargeStimulus,
+        pvt: &PvtConditions,
+        mismatch: &MismatchSample,
+    ) -> BiasedCell {
+        SramCell::new(stimulus.stored_bit, &self.technology, pvt, mismatch)
+            .at_word_line(stimulus.word_line_voltage)
+    }
+
+    /// The RK kernel: integrates `C_BL · dV/dt = −I_cell(V)` for `N` cells
+    /// in lock-step from the supply voltage, one lane per cell.
+    fn integrate<const N: usize>(
+        &self,
+        cells: [BiasedCell; N],
+        stimulus: &DischargeStimulus,
+        pvt: &PvtConditions,
+        solution: &mut OdeSolution<N>,
+    ) -> Result<(), CircuitError> {
         let capacitance = self
             .technology
             .bitline_capacitance(stimulus.cells_on_bitline)
             .0;
-        let v_wl = stimulus.word_line_voltage;
-
-        let solution = ode::rk4(
-            |_t, state, derivative| {
-                let v_blb = Volts(state[0].max(0.0));
-                let current = cell.discharge_current(v_wl, v_blb).0;
-                derivative[0] = -current / capacitance;
+        // optima-lint: hot
+        ode::rk4(
+            |_t, state: &[f64; N], derivative: &mut [f64; N]| {
+                for lane in 0..N {
+                    let v_blb = Volts(state[lane].max(0.0));
+                    let current = cells[lane].discharge_current(v_blb).0;
+                    derivative[lane] = -current / capacitance;
+                }
             },
-            &[pvt.vdd.0],
+            [pvt.vdd.0; N],
             0.0,
             stimulus.duration.0,
             stimulus.time_steps,
+            solution,
         )?;
-
-        let times = solution.times();
-        let values = solution.component(0);
-        Waveform::from_samples(times, values)
+        // optima-lint: end-hot
+        Ok(())
     }
 
     /// Convenience wrapper returning only the discharge `ΔV_BL` observed at
@@ -192,6 +330,20 @@ impl TransientSimulator {
         }
         Ok(())
     }
+}
+
+/// Rejects a mismatch sample whose deviations are not finite (they would
+/// integrate to a NaN waveform).
+fn check_mismatch(mismatch: &MismatchSample) -> Result<(), CircuitError> {
+    if mismatch.delta_vth.0.is_finite() && mismatch.delta_beta_rel.is_finite() {
+        return Ok(());
+    }
+    Err(CircuitError::InvalidOperatingPoint {
+        context: format!(
+            "mismatch sample is not finite (delta Vth {} V, delta beta {})",
+            mismatch.delta_vth.0, mismatch.delta_beta_rel
+        ),
+    })
 }
 
 #[cfg(test)]

@@ -111,12 +111,38 @@ impl Waveform {
 
     /// Linearly interpolated value at time `t` (clamped to the waveform span).
     ///
+    /// The time axis was validated once by [`Waveform::from_samples`], so a
+    /// query is a binary search, not a re-scan of the axis.
+    ///
     /// # Errors
     ///
-    /// Returns an error only for default-constructed, empty waveforms.
+    /// Returns an error for a NaN `t` and for default-constructed, empty
+    /// waveforms.
     pub fn sample_at(&self, t: Seconds) -> Result<Volts, CircuitError> {
-        let v = interp::linear(&self.times, &self.values, t.0)?;
+        let v = interp::linear_sorted(&self.times, &self.values, t.0)?;
         Ok(Volts(v))
+    }
+
+    /// Replaces the values on the same time axis, reusing the buffer.
+    ///
+    /// `values` must yield exactly [`Waveform::len`] samples; any other
+    /// length is an error and leaves the waveform unchanged.
+    pub(crate) fn overwrite_values(
+        &mut self,
+        values: impl ExactSizeIterator<Item = f64>,
+    ) -> Result<(), CircuitError> {
+        if values.len() != self.times.len() {
+            return Err(CircuitError::InvalidOperatingPoint {
+                context: format!(
+                    "waveform time/value length mismatch: {} vs {}",
+                    self.times.len(),
+                    values.len()
+                ),
+            });
+        }
+        self.values.clear();
+        self.values.extend(values);
+        Ok(())
     }
 
     /// First time at which the waveform crosses below `threshold`, if any.
@@ -183,6 +209,30 @@ mod tests {
         assert!((wf.sample_at(Seconds(0.5)).unwrap().0 - 0.9).abs() < 1e-12);
         assert_eq!(wf.sample_at(Seconds(-1.0)).unwrap().0, 1.0);
         assert_eq!(wf.sample_at(Seconds(10.0)).unwrap().0, 0.4);
+    }
+
+    #[test]
+    fn sampling_matches_the_validating_interpolation_bit_for_bit() {
+        let wf = ramp();
+        for t in [-0.5, 0.0, 0.25, 1.0, 1.7, 2.999, 3.0, 7.0] {
+            let expected = interp::linear(wf.times(), wf.values(), t).unwrap();
+            assert_eq!(
+                wf.sample_at(Seconds(t)).unwrap().0.to_bits(),
+                expected.to_bits()
+            );
+        }
+        assert!(wf.sample_at(Seconds(f64::NAN)).is_err());
+        assert!(Waveform::default().sample_at(Seconds(0.0)).is_err());
+    }
+
+    #[test]
+    fn overwritten_values_keep_the_time_axis() {
+        let mut wf = ramp();
+        wf.overwrite_values([0.0, 1.0, 2.0, 3.0].into_iter())
+            .unwrap();
+        assert_eq!(wf.times(), ramp().times());
+        assert_eq!(wf.sample_at(Seconds(1.5)).unwrap().0, 1.5);
+        assert!(wf.overwrite_values([0.0].into_iter()).is_err());
     }
 
     #[test]

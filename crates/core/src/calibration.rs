@@ -579,15 +579,20 @@ impl Calibrator {
                     self.config.mismatch_samples,
                     self.config.seed.wrapping_add(wl_index as u64),
                 );
-                // One waveform per mismatch sample; collect voltages at each grid time.
+                // One lane-batched waveform per mismatch sample; collect
+                // voltages at each grid time.
                 let mut per_time: Vec<Vec<f64>> = vec![Vec::new(); times.len()];
-                for sample in &samples {
-                    let waveform =
-                        simulator.discharge_waveform(&self.stimulus(v_wl), nominal, sample)?;
-                    for (i, &t) in times.iter().enumerate() {
-                        per_time[i].push(waveform.sample_at(Seconds(t))?.0);
-                    }
-                }
+                simulator.discharge_waveforms(
+                    &self.stimulus(v_wl),
+                    nominal,
+                    &samples,
+                    |_, waveform| {
+                        for (column, &t) in per_time.iter_mut().zip(&times) {
+                            column.push(waveform.sample_at(Seconds(t))?.0);
+                        }
+                        Ok(())
+                    },
+                )?;
                 let row: Vec<(f64, f64, f64)> = times
                     .iter()
                     .enumerate()

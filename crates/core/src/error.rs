@@ -1,5 +1,6 @@
 //! Error type of the OPTIMA modeling framework.
 
+use optima_circuit::transient::BatchError;
 use optima_circuit::CircuitError;
 use optima_math::MathError;
 use std::fmt;
@@ -179,6 +180,18 @@ impl ModelError {
 impl From<CircuitError> for ModelError {
     fn from(err: CircuitError) -> Self {
         ModelError::Circuit(err)
+    }
+}
+
+/// A failed instance of a lane-batched Monte-Carlo integration becomes a
+/// sweep failure naming that instance.
+impl From<BatchError> for ModelError {
+    fn from(err: BatchError) -> Self {
+        ModelError::SweepFailed {
+            index: err.index,
+            item: "mismatch instance".to_string(),
+            source: Box::new(ModelError::Circuit(err.source)),
+        }
     }
 }
 

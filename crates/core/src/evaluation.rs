@@ -16,11 +16,20 @@
 //! only exceptions are the Eq. 6 σ-model checks (mismatch sampling has no
 //! common shape across the backends) and the Eq. 3 basic-model residual,
 //! which deliberately measures the *uncorrected* sub-model.
+//!
+//! The golden side is lane-batched and allocation-free: the Eq. 6 reference
+//! and the Monte-Carlo speed-up integrate their mismatch instances
+//! [`TransientSimulator::LANES`] at a time in lock-step
+//! ([`TransientSimulator::discharge_waveforms`]), bit-identical to one
+//! instance at a time, and no RK step allocates.  The circuit time measured
+//! here is therefore the cost of the integration itself, not of the
+//! allocator, and the reported speed-ups are lower than those of the
+//! one-instance, allocate-per-step reference this crate used to measure.
 
 use crate::backend::DischargeBackend;
 use crate::error::ModelError;
 use crate::model::suite::ModelSuite;
-use crate::sweep::{par_map_sweep, stream_seed};
+use crate::sweep::{par_map_mismatch, par_map_sweep, stream_seed};
 use optima_circuit::montecarlo::MismatchModel;
 use optima_circuit::pvt::{linspace, PvtConditions};
 use optima_circuit::technology::Technology;
@@ -266,16 +275,17 @@ impl ModelEvaluator {
         let mismatch_samples = mismatch_model.sample_n(mc, 0xe7a1);
         let residuals_sigma: Vec<f64> = par_map_sweep(&wordlines, self.threads, |_, &v_wl| {
             let mut per_time: Vec<Vec<f64>> = vec![Vec::new(); times.len()];
-            for sample in &mismatch_samples {
-                let waveform = simulator.discharge_waveform(
-                    &self.stimulus(v_wl, duration),
-                    &nominal,
-                    sample,
-                )?;
-                for (i, &t) in times.iter().enumerate() {
-                    per_time[i].push(waveform.sample_at(Seconds(t))?.0);
-                }
-            }
+            simulator.discharge_waveforms(
+                &self.stimulus(v_wl, duration),
+                &nominal,
+                &mismatch_samples,
+                |_, waveform| {
+                    for (column, &t) in per_time.iter_mut().zip(&times) {
+                        column.push(waveform.sample_at(Seconds(t))?.0);
+                    }
+                    Ok(())
+                },
+            )?;
             let row: Vec<f64> = times
                 .iter()
                 .enumerate()
@@ -439,14 +449,18 @@ impl ModelEvaluator {
         let mismatch_model = MismatchModel::from_technology(&self.technology);
         let samples = mismatch_model.sample_n(mc_samples.max(10), 0x5eed);
 
-        // Circuit path: one transient per mismatch instance, fanned out over
-        // the sweep engine with index-ordered reassembly.
+        // Circuit path: one transient per mismatch instance, integrated in
+        // lock-step lanes whose groups fan out over the sweep engine with
+        // index-ordered reassembly.
         let circuit_start = Instant::now();
-        let circuit_values = par_map_sweep(&samples, self.threads, |_, sample| {
-            let waveform =
-                simulator.discharge_waveform(&self.stimulus(v_wl, duration), &nominal, sample)?;
-            Ok::<_, ModelError>(waveform.sample_at(t_sample)?.0)
-        })
+        let circuit_values = par_map_mismatch(
+            simulator,
+            &self.stimulus(v_wl, duration),
+            &nominal,
+            &samples,
+            self.threads,
+            |waveform| Ok(waveform.sample_at(t_sample)?.0),
+        )
         .map_err(|err| {
             let item = format!("Monte-Carlo circuit sweep sample {}", err.index);
             ModelError::from_sweep(err, item)

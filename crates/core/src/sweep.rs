@@ -25,6 +25,12 @@
 //! automatic count honours the `OPTIMA_SWEEP_THREADS` environment variable
 //! and otherwise uses [`std::thread::available_parallelism`].
 
+use crate::error::ModelError;
+use optima_circuit::montecarlo::MismatchSample;
+use optima_circuit::pvt::PvtConditions;
+use optima_circuit::transient::{DischargeStimulus, TransientSimulator};
+use optima_circuit::waveform::Waveform;
+use optima_circuit::CircuitError;
 use std::fmt;
 
 /// Environment variable overriding the automatic sweep thread count.
@@ -208,6 +214,54 @@ where
         results.extend(chunk?);
     }
     Ok(results)
+}
+
+/// Maps `f` over the golden waveform of every mismatch instance of one
+/// stimulus, returning the results in instance order.
+///
+/// The instances are integrated [`TransientSimulator::LANES`] at a time
+/// ([`TransientSimulator::discharge_waveforms`]) and the lane groups are
+/// spread over `threads` workers like the items of any sweep, so the result
+/// is bit-identical at any thread count and each worker holds one lane
+/// group's waveforms at a time.
+///
+/// # Errors
+///
+/// Returns a [`SweepError`] whose index is the lowest failing *instance*,
+/// not its lane group.
+///
+/// # Panics
+///
+/// Re-raises panics from worker threads on the calling thread.
+pub fn par_map_mismatch<O, F>(
+    simulator: &TransientSimulator,
+    stimulus: &DischargeStimulus,
+    pvt: &PvtConditions,
+    samples: &[MismatchSample],
+    threads: usize,
+    f: F,
+) -> Result<Vec<O>, SweepError<ModelError>>
+where
+    O: Send,
+    F: Fn(&Waveform) -> Result<O, CircuitError> + Sync,
+{
+    let groups: Vec<&[MismatchSample]> = samples.chunks(TransientSimulator::LANES).collect();
+    let per_group = par_map_sweep(&groups, threads, |group_index, group| {
+        let base = group_index * TransientSimulator::LANES;
+        let mut out = Vec::with_capacity(group.len());
+        simulator
+            .discharge_waveforms(stimulus, pvt, group, |_, waveform| {
+                out.push(f(waveform)?);
+                Ok(())
+            })
+            .map_err(|err| SweepError {
+                index: base + err.index,
+                source: ModelError::Circuit(err.source),
+            })?;
+        Ok(out)
+    })
+    .map_err(|err| err.source)?;
+    Ok(per_group.into_iter().flatten().collect())
 }
 
 /// Infallible variant of [`par_map_sweep`] for closures that cannot fail.

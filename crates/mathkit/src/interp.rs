@@ -20,17 +20,7 @@ use crate::error::MathError;
 ///   `xs` is not strictly ascending (which also rejects NaN abscissae), or
 ///   `x` is NaN.
 pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
-    if xs.len() != ys.len() {
-        return Err(MathError::DimensionMismatch {
-            left: xs.len(),
-            right: ys.len(),
-        });
-    }
-    if xs.len() < 2 {
-        return Err(MathError::InvalidArgument {
-            context: "linear interpolation needs at least two samples".to_string(),
-        });
-    }
+    check_samples(xs, ys)?;
     // Anything but `Some(Less)` — including the NaN case `None` — fails, so
     // an axis containing NaN is rejected here rather than slipping past.
     if xs
@@ -42,26 +32,61 @@ pub fn linear(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
             context: "abscissae must be strictly ascending".to_string(),
         });
     }
+    linear_sorted(xs, ys, x)
+}
+
+/// [`linear`] on an axis the caller has already validated as strictly
+/// ascending: the `O(n)` ascending scan is skipped, the lookup is the same
+/// binary search and interpolation formula, so the result is bit-identical.
+///
+/// An axis that is not strictly ascending yields an unspecified value, never
+/// a panic.
+///
+/// # Errors
+///
+/// * [`MathError::DimensionMismatch`] if `xs.len() != ys.len()`.
+/// * [`MathError::InvalidArgument`] if fewer than two samples are given or
+///   `x` is NaN.
+pub fn linear_sorted(xs: &[f64], ys: &[f64], x: f64) -> Result<f64, MathError> {
+    check_samples(xs, ys)?;
     if x.is_nan() {
         return Err(MathError::InvalidArgument {
             context: "interpolation query position is NaN".to_string(),
         });
     }
+    let last = xs.len() - 1;
     if x <= xs[0] {
         return Ok(ys[0]);
     }
-    if x >= xs[xs.len() - 1] {
-        return Ok(ys[ys.len() - 1]);
+    if x >= xs[last] {
+        return Ok(ys[last]);
     }
-    // Binary search for the bracketing interval (total order: never panics).
+    // Binary search for the bracketing interval (total order: never panics;
+    // the clamp only matters for an axis that breaks the precondition).
     let idx = match xs.binary_search_by(|probe| probe.total_cmp(&x)) {
         Ok(i) => return Ok(ys[i]),
-        Err(i) => i,
+        Err(i) => i.clamp(1, last),
     };
     let (x0, x1) = (xs[idx - 1], xs[idx]);
     let (y0, y1) = (ys[idx - 1], ys[idx]);
     let frac = (x - x0) / (x1 - x0);
     Ok(y0 + frac * (y1 - y0))
+}
+
+/// The `O(1)` shape checks shared by [`linear`] and [`linear_sorted`].
+fn check_samples(xs: &[f64], ys: &[f64]) -> Result<(), MathError> {
+    if xs.len() != ys.len() {
+        return Err(MathError::DimensionMismatch {
+            left: xs.len(),
+            right: ys.len(),
+        });
+    }
+    if xs.len() < 2 {
+        return Err(MathError::InvalidArgument {
+            context: "linear interpolation needs at least two samples".to_string(),
+        });
+    }
+    Ok(())
 }
 
 /// Bilinear interpolation on a rectangular grid.
@@ -188,6 +213,25 @@ mod tests {
         // Infinite queries still clamp like any other out-of-range position.
         assert_eq!(linear(&xs, &ys, f64::INFINITY).unwrap(), 40.0);
         assert_eq!(linear(&xs, &ys, f64::NEG_INFINITY).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn sorted_lookup_matches_linear_and_never_panics_on_a_broken_axis() {
+        let xs = [0.0, 0.3, 1.1, 2.0, 4.5];
+        let ys = [1.0, 0.7, 0.2, -0.4, 3.0];
+        for x in [-1.0, 0.0, 0.1, 0.3, 0.77, 1.9, 3.3, 4.5, 9.0] {
+            assert_eq!(
+                linear_sorted(&xs, &ys, x).unwrap().to_bits(),
+                linear(&xs, &ys, x).unwrap().to_bits()
+            );
+        }
+        assert!(linear_sorted(&xs, &ys, f64::NAN).is_err());
+        assert!(linear_sorted(&xs, &ys[..4], 0.5).is_err());
+        // Unspecified value, but a value.
+        let unsorted = [0.0, 5.0, 1.0, 2.0, 3.0];
+        for x in [0.5, 1.5, 2.5, 2.9] {
+            assert!(linear_sorted(&unsorted, &ys, x).is_ok());
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! * [`seed`] — SplitMix64 seed-stream derivation shared by the sweep
 //!   engine, Monte-Carlo sampling and the defect-map sampler.
 //! * [`interp`] — linear and bilinear interpolation over waveforms/grids.
-//! * [`ode`] — fixed-step RK4 and adaptive RK45 integrators used by the
-//!   golden-reference circuit simulator.
+//! * [`ode`] — the fixed-step RK4 integrator (flat, reusable trajectory
+//!   buffers) used by the golden-reference circuit simulator.
 //! * [`units`] — `Volts`, `Seconds`, `Celsius`, … newtypes that keep the
 //!   analog quantities in the rest of the workspace type-safe.
 //!
