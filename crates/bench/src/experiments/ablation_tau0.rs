@@ -27,6 +27,7 @@ impl Experiment for AblationTau0 {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
+        ctx.require_paper_array(self.name())?;
         let models = ctx.models();
         let mut report = Report::new();
         report

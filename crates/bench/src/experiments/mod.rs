@@ -127,6 +127,12 @@ pub enum BenchError {
     /// fails a self-check, e.g. a snapshot round trip that is not
     /// bit-exact).
     Failed(String),
+    /// The experiment runs only on the paper's array geometry and was
+    /// asked to run on another one.
+    UnsupportedGeometry {
+        experiment: &'static str,
+        array: ArrayConfig,
+    },
 }
 
 impl std::fmt::Display for BenchError {
@@ -139,6 +145,12 @@ impl std::fmt::Display for BenchError {
             BenchError::Serve(e) => write!(f, "serving error: {e}"),
             BenchError::Io { path, source } => write!(f, "I/O error on {path}: {source}"),
             BenchError::Failed(message) => write!(f, "experiment failed: {message}"),
+            BenchError::UnsupportedGeometry { experiment, array } => write!(
+                f,
+                "{experiment} runs only on the paper's {} array, not on {}",
+                ArrayConfig::paper().describe(),
+                array.describe()
+            ),
         }
     }
 }
@@ -152,7 +164,7 @@ impl std::error::Error for BenchError {
             BenchError::Circuit(e) => Some(e),
             BenchError::Serve(e) => Some(e),
             BenchError::Io { source, .. } => Some(source),
-            BenchError::Failed(_) => None,
+            BenchError::Failed(_) | BenchError::UnsupportedGeometry { .. } => None,
         }
     }
 }
@@ -329,6 +341,20 @@ impl ExperimentContext {
     /// The array geometry of this run (the paper's 16×4 INT4 by default).
     pub fn array(&self) -> ArrayConfig {
         self.array
+    }
+
+    /// Fails with [`BenchError::UnsupportedGeometry`] unless this run is
+    /// on the paper's array geometry — for experiments whose setup is the
+    /// paper's INT4 macro and that cannot honour another geometry.
+    pub fn require_paper_array(&self, experiment: &'static str) -> Result<(), BenchError> {
+        if self.array.is_paper() {
+            Ok(())
+        } else {
+            Err(BenchError::UnsupportedGeometry {
+                experiment,
+                array: self.array,
+            })
+        }
     }
 
     /// The thread count actually used by the sweep engine.

@@ -1,8 +1,9 @@
 //! Table I — selected design corners.
 //!
-//! Explores the 48-corner design space, computes the figure of merit
-//! (Eq. 9) and selects the *fom*, *power* and *variation* corners, printing
-//! their parameters, ϵ_mul and E_mul next to the paper's values.
+//! Explores the 48-corner design space on the context's array geometry,
+//! computes the figure of merit (Eq. 9) and selects the *fom*, *power* and
+//! *variation* corners, printing their parameters, ϵ_mul and E_mul next to
+//! the paper's values.  A non-default geometry is named in the report.
 
 use super::{BenchError, Experiment, ExperimentContext};
 use crate::report::{Column, Report, Scalar, Table};
@@ -27,14 +28,21 @@ impl Experiment for Table1Corners {
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
         let models = ctx.models();
+        let array = ctx.array();
         let explorer = DesignSpaceExplorer::new(models).with_threads(ctx.threads());
-        let results = explorer.explore(&DesignSpace::paper_sweep())?;
+        let results = explorer.explore(&DesignSpace::paper_sweep().with_arrays(vec![array]))?;
         let selected = select_corners(&results)?;
         let mut report = Report::new();
 
         report
             .heading(1, "Table I — selected design corners")
             .blank();
+        // The paper's geometry keeps its historical report byte for byte.
+        if !array.is_paper() {
+            report
+                .note(format!("Array geometry: {}", array.describe()))
+                .blank();
+        }
         let mut table = Table::new(vec![
             Column::plain("Corner"),
             Column::unit("tau0", "ns"),

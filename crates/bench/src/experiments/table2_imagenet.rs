@@ -58,6 +58,7 @@ impl Experiment for Table2Imagenet {
     }
 
     fn run(&self, ctx: &mut ExperimentContext) -> Result<Report, BenchError> {
+        ctx.require_paper_array(self.name())?;
         let quick = ctx.is_fast();
         let product_tables = corner_product_tables(ctx)?;
 

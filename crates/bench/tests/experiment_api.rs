@@ -1,7 +1,10 @@
 //! Structural invariants of the unified experiment API: the registry, the
 //! `optima` CLI and the generated DESIGN.md index must stay in lock-step.
 
-use optima_bench::experiments::{design_md, find, registry};
+use optima_bench::experiments::{
+    design_md, find, registry, BenchError, ExperimentContext, Profile,
+};
+use optima_circuit::array::ArrayConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -130,4 +133,28 @@ fn design_md_on_disk_matches_the_registry() {
         "DESIGN.md has drifted from the experiment registry; regenerate it with \
          `cargo run -q -p optima_bench --bin optima -- design-md > DESIGN.md`"
     );
+}
+
+#[test]
+fn paper_only_experiments_refuse_a_non_default_geometry() {
+    // These experiments are set up on the paper's INT4 macro; at another
+    // geometry they must fail with a typed error, not print INT4 results.
+    for name in [
+        "table2_imagenet",
+        "table3_cifar",
+        "ablation_dac",
+        "ablation_tau0",
+    ] {
+        let experiment = find(name).expect("registered");
+        let mut ctx = ExperimentContext::new(Profile::Fast).with_array(ArrayConfig::int8());
+        match experiment.run(&mut ctx) {
+            Err(err @ BenchError::UnsupportedGeometry { experiment, array }) => {
+                assert_eq!(experiment, name);
+                assert_eq!(array, ArrayConfig::int8());
+                assert!(err.to_string().contains("16x8 int8 (4b slices)"), "{err}");
+            }
+            Err(err) => panic!("{name}: expected UnsupportedGeometry, got {err}"),
+            Ok(_) => panic!("{name} printed a report for the INT8 geometry"),
+        }
+    }
 }

@@ -10,6 +10,7 @@
 //! numbers — must match exactly.
 
 use optima_bench::experiments::{find, ExperimentContext, Profile};
+use optima_circuit::array::ArrayConfig;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -61,6 +62,21 @@ fn fig5_pvt_text_output_is_byte_identical_to_the_pre_refactor_binary() {
 fn table1_corners_text_output_is_byte_identical_to_the_pre_refactor_binary() {
     // Fully deterministic — not a single byte may differ.
     assert_eq!(run_fast("table1_corners"), golden("table1_corners"));
+}
+
+#[test]
+fn table1_corners_explores_and_names_a_non_default_geometry() {
+    let experiment = find("table1_corners").expect("registered");
+    let mut ctx = ExperimentContext::new(Profile::Fast).with_array(ArrayConfig::int8());
+    let text = experiment
+        .run(&mut ctx)
+        .unwrap_or_else(|err| panic!("table1_corners failed at INT8: {err}"))
+        .render_text();
+    assert!(
+        text.contains("Array geometry: 16x8 int8 (4b slices)"),
+        "{text}"
+    );
+    assert_ne!(text, golden("table1_corners"));
 }
 
 #[test]

@@ -40,13 +40,16 @@ impl MultiplierMetrics {
 }
 
 /// Evaluates a multiplier over the full input space at the given operating
-/// point, streaming every pair out of the multiplier's
-/// [`InSramMultiplier::readout_kernel`]: the fitted polynomials are
-/// evaluated once per (slice operand, column), and no per-pair vector is
-/// materialised.
+/// point, reading it out of the multiplier's
+/// [`InSramMultiplier::readout_kernel`] one stored-operand row at a time:
+/// the fitted polynomials are evaluated once per (slice operand, column),
+/// and no per-pair vector is materialised.
 ///
 /// Bit-identical to [`evaluate_multiplier_at_scalar`] (enforced by property
-/// tests): every sum runs in the same operand-major order.
+/// tests): the energy sums run in the same operand-major order, and the
+/// error sums are exact integer sums — every `f64` partial sum of the
+/// scalar path is an integer below 2^53, so converting once gives the same
+/// bits.
 ///
 /// # Errors
 ///
@@ -57,26 +60,30 @@ pub fn evaluate_multiplier_at(
 ) -> Result<MultiplierMetrics, ImcError> {
     let kernel = multiplier.readout_kernel(at)?;
     let max = kernel.operand_max();
-    let mut abs_sum = 0.0;
-    let mut square_sum = 0.0;
-    let mut max_error: f64 = 0.0;
-    let mut worst_sigma: f64 = 0.0;
-    let (energy_sum, total_sum) = kernel.sweep_input_space(|a, d, result| {
-        let error = result as f64 - (a * d) as f64;
-        abs_sum += error.abs();
-        square_sum += error * error;
-        max_error = max_error.max(error.abs());
-        worst_sigma = worst_sigma.max(kernel.analog_sigma(a, d).0);
+    let mut abs_sum = 0u64;
+    let mut square_sum = 0u64;
+    let mut max_error = 0u32;
+    let mut sigma_at_max = Volts(0.0);
+    let (energy_sum, total_sum) = kernel.sweep_input_space(|a, results, sigmas| {
+        for (d, &result) in results.iter().enumerate() {
+            let error = u32::from(result).abs_diff(u32::from(a) * d as u32);
+            abs_sum += u64::from(error);
+            square_sum += u64::from(error) * u64::from(error);
+            max_error = max_error.max(error);
+        }
+        if a == max {
+            sigma_at_max = Volts(sigmas[max as usize]);
+        }
     });
     let count = multiplier.array().input_space() as f64;
     Ok(MultiplierMetrics {
-        epsilon_mul: abs_sum / count,
-        rms_error_lsb: (square_sum / count).sqrt(),
-        max_error_lsb: max_error,
+        epsilon_mul: abs_sum as f64 / count,
+        rms_error_lsb: (square_sum as f64 / count).sqrt(),
+        max_error_lsb: f64::from(max_error),
         energy_per_multiply: FemtoJoules(energy_sum / count),
         energy_per_operation: FemtoJoules(total_sum / count),
-        sigma_at_max_discharge: kernel.analog_sigma(max, max),
-        worst_case_sigma: Volts(worst_sigma),
+        sigma_at_max_discharge: sigma_at_max,
+        worst_case_sigma: kernel.worst_sigma(),
     })
 }
 

@@ -392,12 +392,13 @@ impl InSramMultiplier {
     }
 
     /// Builds the input-space readout kernel of the multiplier at `at`: the
-    /// ADC code of every `(pass, a_slice, d_slice)`, the discharge energy of
-    /// every `(pass, a_slice, bit)` (fault state applied) and the pass σ of
-    /// every `(a_slice, d_slice)`, all from one [`AnalogOperandGrid`].
+    /// ADC code of every `(pass, a_slice, d_slice)`, the gated discharge
+    /// energy of every `(pass, a_slice, bit, d_slice)` (fault state applied)
+    /// and the pass σ of every `(a_slice, d_slice)`, all from one
+    /// [`AnalogOperandGrid`].
     ///
-    /// Every pair of the input space is then a handful of table lookups,
-    /// bit-identical to [`InSramMultiplier::multiply_at`] and
+    /// The input space is then read out a stored-operand row at a time from
+    /// these tables, bit-identical to [`InSramMultiplier::multiply_at`] and
     /// [`InSramMultiplier::analog_sigma`]: the same per-column values are
     /// combined in the same order, pass by pass.
     ///
@@ -414,16 +415,23 @@ impl InSramMultiplier {
         let codes = CodeTable::build(self, |pass, a_slice, d_slice| {
             self.pass_discharge(pass, d_slice, at.vdd.0, |bit| grid.delta(a_slice, bit))
         });
-        let mut energies = Vec::with_capacity(passes * operands as usize * bits);
-        let mut gates = Vec::with_capacity(passes * operands as usize);
+        // Energy follows the columns that actually discharge: a column the
+        // gating switches off contributes `+0.0`, which leaves any energy
+        // sum unchanged.
+        let mut gated = Vec::with_capacity(passes * (operands as usize).pow(2) * bits);
         for pass in 0..passes {
             for a_slice in 0..operands {
                 for bit in 0..array.slice_bits {
-                    energies.push(self.grid_energy(&grid, pass, a_slice, bit, at));
+                    let energy = self.grid_energy(&grid, pass, a_slice, bit, at);
+                    gated.extend((0..operands).map(|d_slice| {
+                        if (self.gate_bits(pass, d_slice) >> bit) & 1 == 1 {
+                            energy
+                        } else {
+                            0.0
+                        }
+                    }));
                 }
             }
-            // Energy follows the columns that actually discharge.
-            gates.extend((0..operands).map(|d_slice| self.gate_bits(pass, d_slice)));
         }
         let mut column_sigmas = Vec::with_capacity(operands as usize * bits);
         for a_slice in 0..operands {
@@ -450,8 +458,7 @@ impl InSramMultiplier {
         }
         Ok(ReadoutKernel {
             codes,
-            energies,
-            gates,
+            gated,
             sigmas,
             converter_overhead: self.converter_overhead.0,
             write_energy: grid.write_energy,
@@ -948,6 +955,45 @@ fn offset_delta(nominal: f64, offset: f64) -> f64 {
     }
 }
 
+/// The analog passes of a stored-operand row `a`, in pass order: yields
+/// `(pass, a_slice, run)`, where the pass reads `a`'s slice `a_slice` and
+/// the `d`-slice of the pass is digit `j` of `d` in base `slice_max + 1`,
+/// constant over runs of `run = (slice_max + 1)^j` consecutive `d`.
+#[inline]
+fn row_passes(array: &ArrayConfig, a: u16) -> impl Iterator<Item = (usize, u16, usize)> {
+    let slices = array.slices() as usize;
+    let shift = array.slice_bits as usize;
+    let mask = array.slice_max();
+    (0..slices).flat_map(move |i| {
+        let a_slice = (a >> (i * shift)) & mask;
+        (0..slices).map(move |j| (i * slices + j, a_slice, 1usize << (j * shift)))
+    })
+}
+
+/// Applies `op(&mut acc[d], entries[d_slice])` to every `d` of a row, where
+/// `d_slice` is the digit of `d` whose runs are `run` long and `entries`
+/// holds one entry per digit value.  The lowest digit (`run == 1`) walks
+/// `entries` contiguously; a higher digit broadcasts each entry over its
+/// run.
+#[inline(always)]
+fn for_each_digit<T: Copy>(acc: &mut [T], entries: &[T], run: usize, op: impl Fn(&mut T, T)) {
+    if run == 1 {
+        for chunk in acc.chunks_exact_mut(entries.len()) {
+            for (slot, &entry) in chunk.iter_mut().zip(entries) {
+                op(slot, entry);
+            }
+        }
+    } else {
+        for block in acc.chunks_exact_mut(run * entries.len()) {
+            for (span, &entry) in block.chunks_exact_mut(run).zip(entries) {
+                for slot in span {
+                    op(slot, entry);
+                }
+            }
+        }
+    }
+}
+
 /// Pass-weighted ADC code of every `(pass, a_slice, d_slice)` of one
 /// multiplier — a composed product is the saturated sum of its passes'
 /// entries.
@@ -980,55 +1026,123 @@ impl CodeTable {
         CodeTable { array, codes }
     }
 
-    /// Digitised product of `(a, d)`.
+    /// The codes of `(pass, a_slice, ·)`, one per `d_slice`.
+    #[inline]
+    fn row(&self, pass: usize, a_slice: u16) -> &[u32] {
+        let operands = self.array.slice_max() as usize + 1;
+        let start = (pass * operands + a_slice as usize) * operands;
+        &self.codes[start..start + operands]
+    }
+
+    /// Digitised product of `(a, d)`, the per-pair oracle of
+    /// [`CodeTable::fill_results`].
     #[inline]
     fn result(&self, a: u16, d: u16) -> u16 {
-        let operands = self.array.slice_max() as usize + 1;
         let sum = fold_passes(&self.array, a, d, 0u32, |sum, pass, a_slice, d_slice| {
-            sum + self.codes[(pass * operands + a_slice as usize) * operands + d_slice as usize]
+            sum + self.row(pass, a_slice)[d_slice as usize]
         });
         saturate(sum)
     }
 
-    /// Average absolute error in LSBs over the full input space, summed in
-    /// operand-major order (bit-identical to [`optima_math::stats::mean`]
-    /// of the per-pair errors).
+    /// Digitised products of the row `a`: `results[d]` for every `d`, from
+    /// the integer pass sums accumulated in `sums` (both one entry per
+    /// operand).  Integer sums are exact, so the order of the passes does
+    /// not matter.
+    #[inline]
+    fn fill_results(&self, a: u16, sums: &mut [u32], results: &mut [u16]) {
+        // optima-lint: hot
+        sums.fill(0);
+        for (pass, a_slice, run) in row_passes(&self.array, a) {
+            for_each_digit(sums, self.row(pass, a_slice), run, |sum, code| *sum += code);
+        }
+        for (result, &sum) in results.iter_mut().zip(&*sums) {
+            *result = saturate(sum);
+        }
+        // optima-lint: end-hot
+    }
+
+    /// Average absolute error in LSBs over the full input space.
+    ///
+    /// Every error is an integer and their sum stays below 2^53, so the
+    /// exact integer sum converted once is bit-identical to
+    /// [`optima_math::stats::mean`] of the per-pair `f64` errors.
     fn mean_abs_error(&self) -> f64 {
         let max = self.array.operand_max();
-        let mut total = 0.0;
+        let side = max as usize + 1;
+        let mut sums = vec![0u32; side];
+        let mut results = vec![0u16; side];
+        let mut total = 0u64;
         // optima-lint: hot
         for a in 0..=max {
-            for d in 0..=max {
-                total += (self.result(a, d) as f64 - (a * d) as f64).abs();
+            self.fill_results(a, &mut sums, &mut results);
+            for (d, &result) in results.iter().enumerate() {
+                total += u64::from(u32::from(result).abs_diff(u32::from(a) * d as u32));
             }
         }
         // optima-lint: end-hot
-        total / self.array.input_space() as f64
+        total as f64 / self.array.input_space() as f64
+    }
+}
+
+/// One stored-operand row of the input space, filled by
+/// [`ReadoutKernel::read_row`]: one entry per `d`.
+struct ReadoutRow {
+    /// Integer pass sums before saturation.
+    sums: Vec<u32>,
+    /// Digitised products.
+    results: Vec<u16>,
+    /// Multiplication energies (femtojoules).
+    energies: Vec<f64>,
+    /// Pass σ, the worst pass (volts).
+    sigmas: Vec<f64>,
+}
+
+impl ReadoutRow {
+    fn new(side: usize) -> Self {
+        ReadoutRow {
+            sums: vec![0; side],
+            results: vec![0; side],
+            energies: vec![0.0; side],
+            sigmas: vec![0.0; side],
+        }
     }
 }
 
 /// Input-space readout tables of one multiplier at one operating point.
 ///
 /// Built by [`InSramMultiplier::readout_kernel`] from one
-/// [`AnalogOperandGrid`]; every operand pair is then read out with table
-/// lookups and no model evaluation.  Three tables carry everything:
+/// [`AnalogOperandGrid`]; the input space is then read out one stored
+/// operand `a` at a time, every `d` of the row at once, with no model
+/// evaluation.  Three tables carry everything:
 ///
 /// * the pass-weighted ADC code of every `(pass, a_slice, d_slice)`;
-/// * the discharge energy of every `(pass, a_slice, bit)`, with the fault
-///   state's shorts and retention drift applied, plus the discharging
-///   columns of every `(pass, d_slice)` (the fault state's gating);
+/// * the **gated energy** of every `(pass, a_slice, bit, d_slice)`: the
+///   column's discharge energy (the fault state's shorts and retention
+///   drift applied) where the fault state's gating lets it discharge for
+///   `d_slice`, and `+0.0` where it does not;
 /// * the pass σ of every `(a_slice, d_slice)`.
 ///
-/// Each accessor combines its entries in exactly the order of the scalar
-/// [`InSramMultiplier::multiply_at`] / [`InSramMultiplier::analog_sigma`]
-/// path, so every readout is bit-identical to it.
+/// A row's results are integer pass sums: the lowest `d`-slice adds one
+/// code-table row contiguously, and each higher slice broadcasts one entry
+/// over runs of `(slice_max + 1)^j` consecutive `d`.  Its energies add, per
+/// pass, the converter overhead and then every column's gated energy in
+/// ascending bit order — the order of the scalar
+/// [`InSramMultiplier::multiply_at`] path.  The accumulator starts at
+/// `+0.0` and never becomes `-0.0` under round-to-nearest, so adding a
+/// gated-off `+0.0` leaves it unchanged and every energy bit matches the
+/// scalar path, which skips those columns.  Its σ is the max over passes,
+/// as in [`InSramMultiplier::analog_sigma`].
+///
+/// The per-pair accessors ([`ReadoutKernel::result`],
+/// [`ReadoutKernel::multiply_energy`], [`ReadoutKernel::analog_sigma`])
+/// read the same tables one pair at a time; they are the oracles the row
+/// readout is tested against.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReadoutKernel {
     codes: CodeTable,
-    /// Discharge energy per `(pass, a_slice, bit)` (femtojoules).
-    energies: Vec<f64>,
-    /// Discharging-column mask per `(pass, d_slice)`.
-    gates: Vec<u16>,
+    /// Gated discharge energy per `(pass, a_slice, bit, d_slice)`
+    /// (femtojoules, `+0.0` where the column does not discharge).
+    gated: Vec<f64>,
     /// Pass σ per `(a_slice, d_slice)` (volts).
     sigmas: Vec<f64>,
     /// Converter overhead charged per pass (femtojoules).
@@ -1053,21 +1167,33 @@ impl ReadoutKernel {
         self.codes.result(a, d)
     }
 
-    /// Multiplication energy of `(a, d)`: per pass the converter overhead,
-    /// then every discharging column in ascending bit order (the
-    /// [`MultiplyOutcome::multiply_energy`] of the scalar path).
+    /// Gated energies of `(pass, a_slice, bit, ·)`, one per `d_slice`.
     #[inline]
+    fn gated_row(&self, pass: usize, a_slice: u16, bit: u8) -> &[f64] {
+        let array = &self.codes.array;
+        let operands = array.slice_max() as usize + 1;
+        let start = ((pass * operands + a_slice as usize) * array.slice_bits as usize
+            + bit as usize)
+            * operands;
+        &self.gated[start..start + operands]
+    }
+
+    /// Pass σ of `(a_slice, ·)`, one per `d_slice`.
+    #[inline]
+    fn sigma_row(&self, a_slice: u16) -> &[f64] {
+        let operands = self.codes.array.slice_max() as usize + 1;
+        &self.sigmas[a_slice as usize * operands..(a_slice as usize + 1) * operands]
+    }
+
+    /// Multiplication energy of `(a, d)`: per pass the converter overhead,
+    /// then every column's gated energy in ascending bit order (the
+    /// [`MultiplyOutcome::multiply_energy`] of the scalar path).
     pub fn multiply_energy(&self, a: u16, d: u16) -> FemtoJoules {
         let array = &self.codes.array;
-        let bits = array.slice_bits as usize;
-        let operands = array.slice_max() as usize + 1;
         let energy = fold_passes(array, a, d, 0.0, |mut energy, pass, a_slice, d_slice| {
             energy += self.converter_overhead;
-            let row = (pass * operands + a_slice as usize) * bits;
-            let mut gates = self.gates[pass * operands + d_slice as usize];
-            while gates != 0 {
-                energy += self.energies[row + gates.trailing_zeros() as usize];
-                gates &= gates - 1;
+            for bit in 0..array.slice_bits {
+                energy += self.gated_row(pass, a_slice, bit)[d_slice as usize];
             }
             energy
         });
@@ -1081,18 +1207,25 @@ impl ReadoutKernel {
 
     /// Analog mismatch σ of `(a, d)`: the worst pass (the
     /// [`InSramMultiplier::analog_sigma`] of the scalar path).
-    #[inline]
     pub fn analog_sigma(&self, a: u16, d: u16) -> Volts {
-        let operands = self.codes.array.slice_max() as usize + 1;
         Volts(fold_passes(
             &self.codes.array,
             a,
             d,
             0.0f64,
-            |worst, _, a_slice, d_slice| {
-                worst.max(self.sigmas[a_slice as usize * operands + d_slice as usize])
-            },
+            |worst, _, a_slice, d_slice| worst.max(self.sigma_row(a_slice)[d_slice as usize]),
         ))
+    }
+
+    /// Worst analog mismatch σ over the input space: the max over the σ
+    /// table, since every `(a_slice, d_slice)` pair occurs in the input
+    /// space (and `max` does not round, so the fold order is free).
+    pub fn worst_sigma(&self) -> Volts {
+        Volts(
+            self.sigmas
+                .iter()
+                .fold(0.0, |worst, &sigma| worst.max(sigma)),
+        )
     }
 
     /// Average absolute error in LSBs over the full input space
@@ -1102,24 +1235,55 @@ impl ReadoutKernel {
         self.codes.mean_abs_error()
     }
 
-    /// Walks the input space in operand-major `(a, d)` order, calling
-    /// `visit(a, d, result)` on every pair, and returns the energy sums
-    /// `(Σ multiply energy, Σ (multiply + write energy))` accumulated in
-    /// that order — the order of the scalar path, so every average taken
-    /// from them is bit-identical to it.
-    pub fn sweep_input_space(&self, mut visit: impl FnMut(u16, u16, u16)) -> (f64, f64) {
+    /// Fills `row` with the readout of every `d` for the stored operand
+    /// `a`.
+    #[inline]
+    fn read_row(&self, a: u16, row: &mut ReadoutRow) {
+        let array = &self.codes.array;
+        self.codes.fill_results(a, &mut row.sums, &mut row.results);
+        // optima-lint: hot
+        row.energies.fill(0.0);
+        row.sigmas.fill(0.0);
+        for (pass, a_slice, run) in row_passes(array, a) {
+            for energy in &mut row.energies {
+                *energy += self.converter_overhead;
+            }
+            for bit in 0..array.slice_bits {
+                let entries = self.gated_row(pass, a_slice, bit);
+                for_each_digit(&mut row.energies, entries, run, |sum, e| *sum += e);
+            }
+            // `f64::max` for a worst-so-far that is never NaN (a NaN σ
+            // loses either way), in a form that vectorises.
+            let entries = self.sigma_row(a_slice);
+            for_each_digit(&mut row.sigmas, entries, run, |worst, s| {
+                *worst = if s > *worst { s } else { *worst }
+            });
+        }
+        // optima-lint: end-hot
+    }
+
+    /// Walks the input space one stored-operand row at a time, `a`
+    /// ascending, calling `visit(a, results, sigmas)` with the digitised
+    /// product and the analog σ of every `d` of the row, and returns the
+    /// energy sums `(Σ multiply energy, Σ (multiply + write energy))`
+    /// accumulated in operand-major order — the order of the scalar path,
+    /// so every average taken from them is bit-identical to it.
+    pub fn sweep_input_space(&self, mut visit: impl FnMut(u16, &[u16], &[f64])) -> (f64, f64) {
         let max = self.operand_max();
         let write_energy = self.write_energy.0;
+        let mut row = ReadoutRow::new(max as usize + 1);
         let mut energy_sum = 0.0;
         let mut total_sum = 0.0;
+        // optima-lint: hot
         for a in 0..=max {
-            for d in 0..=max {
-                visit(a, d, self.result(a, d));
-                let energy = self.multiply_energy(a, d).0;
+            self.read_row(a, &mut row);
+            visit(a, &row.results, &row.sigmas);
+            for &energy in &row.energies {
                 energy_sum += energy;
                 total_sum += energy + write_energy;
             }
         }
+        // optima-lint: end-hot
         (energy_sum, total_sum)
     }
 }
@@ -1217,9 +1381,9 @@ pub struct MultiplierTable {
 }
 
 impl MultiplierTable {
-    /// Builds the table by reading every operand pair at the given
-    /// operating point out of the multiplier's
-    /// [`InSramMultiplier::readout_kernel`].
+    /// Builds the table by reading the input space at the given operating
+    /// point out of the multiplier's [`InSramMultiplier::readout_kernel`],
+    /// one stored-operand row at a time.
     ///
     /// Bit-identical to [`MultiplierTable::from_multiplier_scalar`] — the
     /// equivalence is enforced by property tests and re-checked by the
@@ -1234,7 +1398,8 @@ impl MultiplierTable {
     ) -> Result<Self, ImcError> {
         let kernel = multiplier.readout_kernel(at)?;
         let mut results = Vec::with_capacity(multiplier.array().input_space());
-        let (energy_sum, total_sum) = kernel.sweep_input_space(|_, _, result| results.push(result));
+        let (energy_sum, total_sum) =
+            kernel.sweep_input_space(|_, row, _| results.extend_from_slice(row));
         Ok(Self::from_sums(
             results,
             energy_sum,
@@ -1671,6 +1836,119 @@ mod tests {
                     for d in 0..=OPERAND_MAX {
                         assert_kernel_pair(&multiplier, &kernel, at, a, d);
                     }
+                }
+            }
+        }
+    }
+
+    /// A `operand_bits`-wide geometry of `slice_bits`-wide slices on one
+    /// row of `operand_bits` columns.
+    fn sliced(operand_bits: u8, slice_bits: u8) -> ArrayConfig {
+        ArrayConfig {
+            operand_bits,
+            slice_bits,
+            columns: operand_bits as u16,
+            ..ArrayConfig::default()
+        }
+    }
+
+    /// Multipliers on every geometry the row readout distinguishes — one
+    /// pass, two slices, three and more slices, 1-bit slices — each
+    /// pristine and with a faulted, aged array.
+    fn row_oracle_multipliers() -> Vec<InSramMultiplier> {
+        use crate::reliability::FaultState;
+        use optima_circuit::defects::{DefectMap, DefectModel, LifetimeTrajectory};
+        let mut multipliers = Vec::new();
+        for base in [
+            ArrayConfig::paper(),
+            ArrayConfig::int8(),
+            sliced(6, 2),
+            sliced(6, 1),
+            sliced(8, 2),
+        ] {
+            multipliers.push(
+                InSramMultiplier::new(linear_suite(), ideal_config().with_array(base)).unwrap(),
+            );
+            let array = base.with_spares(2);
+            let map = DefectMap::sample(&array, &DefectModel::uniform(0.25, 17)).unwrap();
+            let state = FaultState::unmitigated(&array, map, 0)
+                .unwrap()
+                .with_lifetime(&LifetimeTrajectory::nbti_like().at(3));
+            multipliers.push(
+                InSramMultiplier::new(linear_suite(), ideal_config().with_array(array))
+                    .unwrap()
+                    .with_faults(state)
+                    .unwrap(),
+            );
+        }
+        multipliers
+    }
+
+    #[test]
+    fn row_readout_matches_the_per_pair_accessors() {
+        for multiplier in row_oracle_multipliers() {
+            let kernel = multiplier
+                .readout_kernel(multiplier.nominal_operating_point())
+                .unwrap();
+            let max = kernel.operand_max();
+            let name = multiplier.array().describe();
+            let mut row = ReadoutRow::new(max as usize + 1);
+            let (mut energy_sum, mut total_sum) = (0.0, 0.0);
+            let mut abs_errors = Vec::new();
+            for a in 0..=max {
+                kernel.read_row(a, &mut row);
+                for d in 0..=max {
+                    let at = d as usize;
+                    assert_eq!(row.results[at], kernel.result(a, d), "{name}: {a} x {d}");
+                    let energy = kernel.multiply_energy(a, d).0;
+                    assert_eq!(
+                        row.energies[at].to_bits(),
+                        energy.to_bits(),
+                        "{name}: energy of {a} x {d}"
+                    );
+                    assert_eq!(
+                        row.sigmas[at].to_bits(),
+                        kernel.analog_sigma(a, d).0.to_bits(),
+                        "{name}: sigma of {a} x {d}"
+                    );
+                    energy_sum += energy;
+                    total_sum += energy + kernel.write_energy().0;
+                    abs_errors.push((kernel.result(a, d) as f64 - (a * d) as f64).abs());
+                }
+            }
+            let mut visited = 0u32;
+            let sums = kernel.sweep_input_space(|a, results, sigmas| {
+                assert_eq!(a as u32, visited, "{name}: rows in ascending order");
+                assert_eq!(results.len(), max as usize + 1);
+                assert_eq!(sigmas.len(), max as usize + 1);
+                visited += 1;
+            });
+            assert_eq!(visited, max as u32 + 1);
+            assert_eq!(sums.0.to_bits(), energy_sum.to_bits(), "{name}");
+            assert_eq!(sums.1.to_bits(), total_sum.to_bits(), "{name}");
+            assert_eq!(
+                kernel.mean_abs_error().to_bits(),
+                optima_math::stats::mean(&abs_errors).to_bits(),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    fn wide_slice_kernels_are_bit_identical_to_scalar_multiplication() {
+        // Three and more slices exercise the broadcast runs of the higher
+        // d-slices; 1-bit slices the smallest code rows.  A stratified
+        // sample of pairs keeps the live scalar path affordable.
+        for multiplier in row_oracle_multipliers() {
+            let at = multiplier.nominal_operating_point();
+            let kernel = multiplier.readout_kernel(at).unwrap();
+            let max = kernel.operand_max();
+            let probes: Vec<u16> = (0..=max)
+                .filter(|&v| v % 11 == 0 || v < 5 || v > max - 5)
+                .collect();
+            for &a in &probes {
+                for &d in &probes {
+                    assert_kernel_pair(&multiplier, &kernel, at, a, d);
                 }
             }
         }

@@ -16,9 +16,12 @@
 //! stream per die — is bit-identical for any thread count.
 //!
 //! Inside each swept condition the full input space of the geometry (16×16
-//! pairs at INT4, 256×256 at INT8) streams out of one
-//! [`InSramMultiplier::readout_kernel`], bit-identical to the scalar
-//! per-pair path.
+//! pairs at INT4, 256×256 at INT8) is read out of one
+//! [`InSramMultiplier::readout_kernel`] a stored-operand row at a time,
+//! bit-identical to the scalar per-pair path: the error sums are exact
+//! integer sums (every `f64` partial sum of the per-pair path is an integer
+//! below 2^53), each result-profile bin sums its σ in operand-major order,
+//! and the worst σ is the max over the kernel's σ table.
 //!
 //! Mismatch is modelled as a property of the fabricated die, not as noise
 //! on every operation: a die is one standard-normal offset `z` per physical
@@ -152,9 +155,9 @@ impl PvtAnalysis {
         let input_space = multiplier.array().input_space();
 
         // ---- Fig. 8 left: error and sigma binned by expected result ----
-        // The whole input space streams out of one readout kernel, and
-        // every bin sums its pairs in operand-major (a, d) order, like the
-        // scalar reference.
+        // The whole input space streams out of one readout kernel, a row at
+        // a time.  Every bin sums its σ in operand-major (a, d) order, like
+        // the scalar reference; the error sums are exact integer sums.
         let kernel =
             multiplier
                 .readout_kernel(nominal)
@@ -163,23 +166,20 @@ impl PvtAnalysis {
                     corner: "nominal input-space grid".to_string(),
                     source: Box::new(source),
                 })?;
-        let max = kernel.operand_max();
-        // (error sum, sigma sum, pairs) per expected result.
-        let mut bins = vec![(0.0, 0.0, 0u32); product_max as usize + 1];
-        let mut abs_sum = 0.0;
-        let mut worst_sigma: f64 = 0.0;
-        for a in 0..=max {
-            for d in 0..=max {
-                let error_lsb = kernel.result(a, d) as f64 - (a * d) as f64;
-                let sigma = kernel.analog_sigma(a, d).0;
-                let bin = &mut bins[(a * d) as usize];
+        // (signed error sum, sigma sum, pairs) per expected result.
+        let mut bins = vec![(0i64, 0.0, 0u32); product_max as usize + 1];
+        let mut abs_sum = 0u64;
+        kernel.sweep_input_space(|a, results, sigmas| {
+            for (d, (&result, &sigma)) in results.iter().zip(sigmas).enumerate() {
+                let expected = u32::from(a) * d as u32;
+                let error_lsb = i64::from(result) - i64::from(expected);
+                let bin = &mut bins[expected as usize];
                 bin.0 += error_lsb;
                 bin.1 += sigma;
                 bin.2 += 1;
-                abs_sum += error_lsb.abs();
-                worst_sigma = worst_sigma.max(sigma);
+                abs_sum += error_lsb.unsigned_abs();
             }
-        }
+        });
 
         let mut result_profile = ResultProfile::default();
         for (expected, &(error_sum, sigma_sum, pairs)) in bins.iter().enumerate() {
@@ -189,7 +189,7 @@ impl PvtAnalysis {
             result_profile.expected_results.push(expected as u16);
             result_profile
                 .average_error_lsb
-                .push(error_sum / pairs as f64);
+                .push(error_sum as f64 / pairs as f64);
             result_profile.analog_sigma.push(sigma_sum / pairs as f64);
         }
 
@@ -263,8 +263,8 @@ impl PvtAnalysis {
             supply_sweep,
             temperature_sweep,
             mismatch_monte_carlo,
-            worst_case_sigma: worst_sigma,
-            nominal_epsilon_mul: abs_sum / input_space as f64,
+            worst_case_sigma: kernel.worst_sigma().0,
+            nominal_epsilon_mul: abs_sum as f64 / input_space as f64,
         })
     }
 }
@@ -681,6 +681,24 @@ mod tests {
     fn kernel_is_bit_identical_to_the_scalar_references_int8() {
         for multiplier in oracle_multipliers(ArrayConfig::int8()) {
             assert_kernel_matches_scalar(&multiplier, 2);
+        }
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_scalar_references_beyond_two_slices() {
+        // Three and more slices (runs of 4^2, 2^2 … 2^5 d values per
+        // d-slice entry) and 1-bit slices.  (8-bit operands on 2-bit slices
+        // are checked pair by pair in the multiplier's own tests.)
+        for (operand_bits, slice_bits) in [(6, 2), (6, 1)] {
+            let base = ArrayConfig {
+                operand_bits,
+                slice_bits,
+                columns: operand_bits as u16,
+                ..ArrayConfig::paper()
+            };
+            for multiplier in oracle_multipliers(base) {
+                assert_kernel_matches_scalar(&multiplier, 1);
+            }
         }
     }
 
